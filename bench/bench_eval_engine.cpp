@@ -111,75 +111,6 @@ int main() {
       "Same seed => same plan at every thread count; speedup is wall clock only.\n"
       "Cache hits are evaluations answered without compile+simulate.\n\n");
 
-  // ---- Episode throughput: seed-era engine vs the full current stack. ----
-  // Seed-era = reference heap simulator, no evaluation cache, no unroll
-  // scratch (the engine as it stood before the data-oriented core). Full
-  // stack = data-oriented SoA core + reusable workspaces + unroll scratch +
-  // LRU memoization. Same seed, so both sides run the identical episode
-  // stream and MUST land on the identical plan — checked per cell.
-  TextTable grid({"model", "cluster", "seed-era (ms)", "full stack (ms)",
-                  "speedup", "same plan"});
-  const std::pair<const char*, cluster::ClusterSpec> clusters[] = {
-      {"testbed-8", cluster::make_paper_testbed_8gpu()},
-      {"fig3", cluster::make_fig3_testbed()},
-  };
-  double seed_total_ms = 0.0, stack_total_ms = 0.0;
-  bool plans_match = true;
-  for (const auto& [cluster_name, cluster_spec] : clusters) {
-    BenchRig grid_rig(cluster_spec);
-    for (const auto& c : cases) {
-      const auto graph = models::build_training(c.kind, c.layers, c.batch);
-      const auto encoded = agent::encode_graph(graph, *grid_rig.costs, max_groups());
-      auto run_search = [&](bool seed_era, double* wall_out) {
-        rl::TrainConfig config;
-        config.episodes = search_episodes;
-        config.patience = 0;
-        config.threads = 1;
-        if (seed_era) {
-          config.eval_cache_capacity = 0;
-          config.sim_impl = sim::SimImpl::kReference;
-          config.eval_scratch = false;
-        }
-        agent::AgentConfig agent_config;
-        agent_config.max_groups = max_groups();
-        agent::PolicyNetwork policy(grid_rig.cluster.device_count(), agent_config);
-        rl::Trainer trainer(*grid_rig.costs, config);
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto result = trainer.search(policy, encoded);
-        *wall_out = wall_ms_since(t0);
-        return result;
-      };
-      double seed_ms = 0.0, stack_ms = 0.0;
-      const auto seed_result = run_search(true, &seed_ms);
-      const auto stack_result = run_search(false, &stack_ms);
-      const bool same =
-          seed_result.best_time_ms == stack_result.best_time_ms &&
-          seed_result.best_strategy.group_actions ==
-              stack_result.best_strategy.group_actions;
-      plans_match = plans_match && same;
-      seed_total_ms += seed_ms;
-      stack_total_ms += stack_ms;
-      grid.add_row({c.name, cluster_name, fmt_double(seed_ms, 0),
-                    fmt_double(stack_ms, 0), fmt_double(seed_ms / stack_ms, 2) + "x",
-                    same ? "yes" : "NO"});
-    }
-  }
-  const double grid_speedup = seed_total_ms / stack_total_ms;
-  grid.add_row({"TOTAL", "", fmt_double(seed_total_ms, 0),
-                fmt_double(stack_total_ms, 0), fmt_double(grid_speedup, 2) + "x",
-                plans_match ? "yes" : "NO"});
-  std::printf("%s\n", grid.render().c_str());
-  std::printf(
-      "Episode throughput over the %d-search grid: %.2fx (%.1f -> %.1f episodes/s).\n"
-      "Seed-era = reference simulator, no cache, no scratch.\n",
-      static_cast<int>(std::size(clusters)) * static_cast<int>(std::size(cases)),
-      grid_speedup,
-      1000.0 * search_episodes * std::size(clusters) * std::size(cases) / seed_total_ms,
-      1000.0 * search_episodes * std::size(clusters) * std::size(cases) / stack_total_ms);
-  obs::MetricsRegistry::global().set("rl.episode_throughput_speedup.ratio",
-                                     grid_speedup);
-  obs::MetricsRegistry::global().set("rl.episode_throughput_identical.ratio",
-                                     plans_match ? 1.0 : 0.0);
   if (plan_store != nullptr) {
     plan_store->flush();
     const store::PlanStoreStats store_stats = plan_store->stats();

@@ -43,7 +43,7 @@ struct PlanOutcome {
 };
 
 /// The heuristic (zero-episode) planning path, mirroring core/heterog.cpp's
-/// make_plan: deterministic in (graph, cluster, seed).
+/// choose and deploy stages: deterministic in (graph, cluster, seed).
 PlanOutcome heuristic_plan(const cluster::ClusterSpec& cluster,
                            const graph::GraphDef& graph) {
   profiler::HardwareModel hardware(cluster);
@@ -51,27 +51,9 @@ PlanOutcome heuristic_plan(const cluster::ClusterSpec& cluster,
   const auto cost_model = prof.profile(graph);
 
   const agent::EncodedGraph encoded = agent::encode_graph(graph, *cost_model, max_groups());
-  rl::TrainConfig config;
-  config.skip_unroll_on_oom = true;  // as make_plan's heuristic-only path
-  rl::Trainer trainer(*cost_model, config);
-  const std::vector<strategy::StrategyMap> candidates =
-      trainer.heuristic_candidates(graph, encoded.grouping);
-  const std::vector<rl::Evaluation> evals =
-      trainer.evaluate_batch(graph, encoded.grouping, candidates);
-
-  PlanOutcome out;
-  strategy::StrategyMap best;
-  double best_ms = 0.0;
-  bool best_feasible = false;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const auto& eval = evals[i];
-    const bool better = !eval.oom && (!best_feasible || eval.time_ms < best_ms);
-    if (better || best.group_actions.empty()) {
-      best = candidates[i];
-      best_ms = eval.time_ms;
-      best_feasible = !eval.oom;
-    }
-  }
+  const rl::Trainer trainer(*cost_model, rl::TrainConfig{});
+  const strategy::StrategyMap best =
+      trainer.search_heuristic(graph, encoded.grouping).best_strategy;
 
   // Deployment compile + evaluation against ground truth (the step a real
   // `plan` invocation pays before printing its summary).
@@ -80,6 +62,7 @@ PlanOutcome heuristic_plan(const cluster::ClusterSpec& cluster,
   const sim::PlanEvaluation deployment =
       sim::evaluate_plan(ground_truth, graph, encoded.grouping, best, options);
 
+  PlanOutcome out;
   out.plan_text = strategy::to_text(best, cluster);
   out.time_ms = deployment.per_iteration_ms;
   out.feasible = !deployment.oom;

@@ -18,43 +18,30 @@ namespace heterog {
 
 namespace {
 
-/// Everything the Strategy Maker + Graph Compiler pipeline produces for one
-/// (training graph, cluster) pair. get_runner builds the initial deployment
-/// from this; the fault-recovery path re-runs it on the survivor cluster.
-struct PlanResult {
-  std::shared_ptr<profiler::HardwareModel> hardware;
-  std::shared_ptr<const profiler::CostModel> cost_model;
+/// The choose stage's output: the grouping the Strategy Maker encoded and
+/// the search that picked a strategy for it.
+struct Choice {
   strategy::Grouping grouping;
-  strategy::StrategyMap strategy;
   rl::SearchResult search;
-  std::shared_ptr<compile::CompileResult> compiled;
-  sim::PlanEvaluation deployment;
 };
 
-PlanResult make_plan(const graph::GraphDef& training_graph,
-                     const cluster::ClusterSpec& cluster, const HeteroGConfig& config,
-                     bool with_rl, int rl_episodes) {
-  PlanResult plan;
-
+/// Choose stage: profile -> encode -> search. RL when `rl_episodes` > 0,
+/// else the heuristic-only search. Deterministic in (graph, cluster, config,
+/// rl_episodes).
+Choice choose_plan(const graph::GraphDef& training_graph,
+                   const cluster::ClusterSpec& cluster, const HeteroGConfig& config,
+                   int rl_episodes) {
   // Profiler: regression cost models over the (synthetic) hardware.
-  plan.hardware = std::make_shared<profiler::HardwareModel>(cluster);
-  profiler::Profiler prof(*plan.hardware, config.profiler_seed);
-  plan.cost_model = prof.profile(training_graph);
+  const profiler::HardwareModel hardware(cluster);
+  profiler::Profiler prof(hardware, config.profiler_seed);
+  const auto cost_model = prof.profile(training_graph);
 
   // Strategy Maker.
-  const agent::EncodedGraph encoded =
-      agent::encode_graph(training_graph, *plan.cost_model, config.agent.max_groups);
-  plan.grouping = encoded.grouping;
+  agent::EncodedGraph encoded =
+      agent::encode_graph(training_graph, *cost_model, config.agent.max_groups);
 
   rl::TrainConfig train_config = config.train;
   train_config.episodes = rl_episodes;
-  // The heuristic-only reduce below reads only `oom` and the feasible
-  // winner's time, so rejected candidates can skip the steady-state unroll
-  // (~40% of an evaluation at 1000 GPUs). The RL search keeps the full
-  // evaluation: OOM rewards feed its gradients.
-  if (!(with_rl && train_config.episodes > 0)) {
-    train_config.skip_unroll_on_oom = true;
-  }
   if (config.plan_store != nullptr) {
     // The engine's plan_key deliberately omits cluster / cost-model identity
     // (its LRU is scoped per Trainer); the durable store is not, so salt its
@@ -68,102 +55,47 @@ PlanResult make_plan(const graph::GraphDef& training_graph,
             .mix_string("profiled-cost-model-v1")
             .digest();
   }
-  rl::Trainer trainer(*plan.cost_model, train_config);
-  if (with_rl && train_config.episodes > 0) {
+  rl::Trainer trainer(*cost_model, train_config);
+  Choice choice;
+  if (rl_episodes > 0) {
     agent::PolicyNetwork policy(cluster.device_count(), config.agent);
-    plan.search = trainer.search(policy, encoded);
+    choice.search = trainer.search(policy, encoded);
   } else {
-    // Heuristic-only mode: evaluate warm-start candidates (one parallel
-    // batch across config.train.threads workers) and keep the best — the
-    // ordered reduce makes the pick independent of the thread count.
-    const auto t0 = std::chrono::steady_clock::now();
-    rl::SearchResult best;
-    const std::vector<strategy::StrategyMap> candidates =
-        trainer.heuristic_candidates(training_graph, plan.grouping);
-    const std::vector<rl::Evaluation> evals =
-        trainer.evaluate_batch(training_graph, plan.grouping, candidates);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      const auto& eval = evals[i];
-      const bool better =
-          !eval.oom && (!best.best_feasible || eval.time_ms < best.best_time_ms);
-      if (better || best.best_strategy.group_actions.empty()) {
-        best.best_strategy = candidates[i];
-        best.best_time_ms = eval.time_ms;
-        best.best_reward = eval.reward;
-        best.best_feasible = !eval.oom;
-      }
-    }
-    best.eval_cache_hits = trainer.eval_engine().stats().hits;
-    best.eval_cache_misses = trainer.eval_engine().stats().misses;
-    best.eval_store_hits = trainer.eval_engine().stats().store_hits;
-    best.eval_store_misses = trainer.eval_engine().stats().store_misses;
-    if (config.train.events != nullptr && config.train.events->ok()) {
-      const double wall_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-      config.train.events->emit(obs::Event("search_end")
-                                    .with("model", training_graph.name())
-                                    .with("episodes_run", 0)
-                                    .with("best_ms", best.best_time_ms)
-                                    .with("best_reward", best.best_reward)
-                                    .with("best_feasible", best.best_feasible)
-                                    .with("episode_of_best", 0)
-                                    .with("cache_hits", best.eval_cache_hits)
-                                    .with("cache_misses", best.eval_cache_misses)
-                                    .with("wall_ms", wall_ms));
-    }
-    plan.search = std::move(best);
+    choice.search = trainer.search_heuristic(training_graph, encoded.grouping);
   }
-  check(!plan.search.best_strategy.group_actions.empty(),
-        "make_plan: search produced no strategy");
-  plan.strategy = plan.search.best_strategy;
+  check(!choice.search.best_strategy.group_actions.empty(),
+        "choose_plan: search produced no strategy");
+  choice.grouping = std::move(encoded.grouping);
+  return choice;
+}
 
-  // Graph Compiler against the ground-truth hardware (deployment).
-  profiler::GroundTruthCosts ground_truth(*plan.hardware);
-  compile::GraphCompiler deploy_compiler(ground_truth);
-  plan.compiled = std::make_shared<compile::CompileResult>(
-      deploy_compiler.compile(training_graph, plan.grouping, plan.strategy));
+/// The deploy stage's output: the plan compiled and evaluated against the
+/// ground-truth hardware.
+struct Deployment {
+  std::shared_ptr<compile::CompileResult> compiled;
+  sim::PlanEvaluation evaluation;
+};
+
+/// Deploy stage: ground-truth compile -> evaluate_plan with utilization ->
+/// `schedule` events. Deterministic in (graph, cluster, config, plan).
+Deployment deploy_plan(const graph::GraphDef& training_graph,
+                       const cluster::ClusterSpec& cluster, const HeteroGConfig& config,
+                       const strategy::Grouping& grouping,
+                       const strategy::StrategyMap& strategy) {
+  const profiler::HardwareModel hardware(cluster);
+  const profiler::GroundTruthCosts ground_truth(hardware);
+  Deployment deployment;
+  deployment.compiled = std::make_shared<compile::CompileResult>(
+      compile::GraphCompiler(ground_truth).compile(training_graph, grouping, strategy));
 
   sim::PlanEvalOptions options;
   options.policy = config.use_order_scheduling ? sched::OrderPolicy::kRankPriority
                                                : sched::OrderPolicy::kFifo;
   options.collect_utilization = true;  // deployment path: one extra rank pass
-  plan.deployment = sim::evaluate_plan(ground_truth, training_graph, plan.grouping,
-                                       plan.strategy, options);
-  emit_schedule_events(config.events, plan.deployment, cluster.device_count());
-  return plan;
-}
-
-/// Rebuilds a deployment from an already-decided plan (resume path): the
-/// profiling and compilation stages of make_plan, with the strategy search
-/// replaced by the given strategy. Deterministic in (graph, cluster, config).
-PlanResult deploy_fixed_plan(const graph::GraphDef& training_graph,
-                             const cluster::ClusterSpec& cluster,
-                             const HeteroGConfig& config, strategy::Grouping grouping,
-                             strategy::StrategyMap strategy) {
-  PlanResult plan;
-  plan.hardware = std::make_shared<profiler::HardwareModel>(cluster);
-  profiler::Profiler prof(*plan.hardware, config.profiler_seed);
-  plan.cost_model = prof.profile(training_graph);
-  plan.grouping = std::move(grouping);
-  plan.strategy = std::move(strategy);
-  plan.search.best_strategy = plan.strategy;
-
-  profiler::GroundTruthCosts ground_truth(*plan.hardware);
-  compile::GraphCompiler deploy_compiler(ground_truth);
-  plan.compiled = std::make_shared<compile::CompileResult>(
-      deploy_compiler.compile(training_graph, plan.grouping, plan.strategy));
-
-  sim::PlanEvalOptions options;
-  options.policy = config.use_order_scheduling ? sched::OrderPolicy::kRankPriority
-                                               : sched::OrderPolicy::kFifo;
-  options.collect_utilization = true;
-  plan.deployment = sim::evaluate_plan(ground_truth, training_graph, plan.grouping,
-                                       plan.strategy, options);
-  emit_schedule_events(config.events, plan.deployment, cluster.device_count());
-  plan.search.best_time_ms = plan.deployment.per_iteration_ms;
-  plan.search.best_feasible = !plan.deployment.oom;
-  return plan;
+  deployment.evaluation =
+      sim::evaluate_plan(ground_truth, training_graph, grouping, strategy, options);
+  emit_schedule_events(config.events, deployment.evaluation, cluster.device_count());
+  return deployment;
 }
 
 /// new_id_of[d] after removing `failed` (sorted ascending) from a
@@ -503,9 +435,11 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
       for (auto it = scaling.failed.rbegin(); it != scaling.failed.rend(); ++it) {
         survivors = survivors.remove_device(*it);
       }
-      const PlanResult replanned =
-          make_plan(training_graph_, survivors, config_,
-                    fh.replan_rl_episodes > 0, fh.replan_rl_episodes);
+      const Choice choice =
+          choose_plan(training_graph_, survivors, config_, fh.replan_rl_episodes);
+      const Deployment replanned = deploy_plan(training_graph_, survivors, config_,
+                                               choice.grouping,
+                                               choice.search.best_strategy);
       const double wall_ms =
           det_walls ? 0.0
                     : std::chrono::duration<double, std::milli>(
@@ -518,11 +452,11 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
       report.steps_lost = 1;  // the in-flight step is re-executed on resume
       report.replan_wall_ms = wall_ms;
       report.pre_fault_iteration_ms = active_iter_ms;
-      report.post_fault_iteration_ms = replanned.deployment.per_iteration_ms;
+      report.post_fault_iteration_ms = replanned.evaluation.per_iteration_ms;
       report.surviving_devices = survivors.device_count();
-      report.post_plan_oom = replanned.deployment.oom;
+      report.post_plan_oom = replanned.evaluation.oom;
       report.escalated_transient = !escalated.empty();
-      stats.oom = stats.oom || replanned.deployment.oom;
+      stats.oom = stats.oom || replanned.evaluation.oom;
       if (live) {
         stats.recoveries.push_back(report);
         if (ckpt_on) journal.recoveries.push_back(to_record(report));
@@ -544,7 +478,7 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
         log_info() << "DistRunner: recovered from failure of " << scaling.failed.size()
                    << " device(s) at step " << step << " in " << wall_ms
                    << " ms; plan " << active_iter_ms << " -> "
-                   << replanned.deployment.per_iteration_ms << " ms/iteration on "
+                   << replanned.evaluation.per_iteration_ms << " ms/iteration on "
                    << survivors.device_count() << " survivors";
       }
 
@@ -552,8 +486,8 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
                             survivor_id_map(active_cluster.device_count(),
                                             scaling.failed));
       active_cluster = std::move(survivors);
-      active_iter_ms = replanned.deployment.per_iteration_ms;
-      active_cold_ms = replanned.deployment.cold_iteration_ms;
+      active_iter_ms = replanned.evaluation.per_iteration_ms;
+      active_cold_ms = replanned.evaluation.cold_iteration_ms;
       continue;  // re-execute this step under the new plan
     }
 
@@ -701,9 +635,11 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
       for (auto it = confirmed.rbegin(); it != confirmed.rend(); ++it) {
         survivors = survivors.remove_device(*it);
       }
-      const PlanResult replanned =
-          make_plan(training_graph_, survivors, config_, use_rl,
-                    use_rl ? fh.replan_rl_episodes : 0);
+      const Choice choice = choose_plan(training_graph_, survivors, config_,
+                                        use_rl ? fh.replan_rl_episodes : 0);
+      const Deployment replanned = deploy_plan(training_graph_, survivors, config_,
+                                               choice.grouping,
+                                               choice.search.best_strategy);
       const double wall_ms =
           det_walls ? 0.0
                     : std::chrono::duration<double, std::milli>(
@@ -721,14 +657,14 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
       report.steps_lost = charged ? 0 : 1;
       report.replan_wall_ms = wall_ms;
       report.pre_fault_iteration_ms = active_iter_ms;
-      report.post_fault_iteration_ms = replanned.deployment.per_iteration_ms;
+      report.post_fault_iteration_ms = replanned.evaluation.per_iteration_ms;
       report.surviving_devices = survivors.device_count();
-      report.post_plan_oom = replanned.deployment.oom;
+      report.post_plan_oom = replanned.evaluation.oom;
       report.escalated_transient = escalated;
       report.detection_attempts = attempts_spent;
       report.degraded = degraded;
       report.domain_rack = domain_racks.empty() ? -1 : domain_racks.front();
-      stats.oom = stats.oom || replanned.deployment.oom;
+      stats.oom = stats.oom || replanned.evaluation.oom;
       if (live) {
         stats.recoveries.push_back(report);
         if (ckpt_on) journal.recoveries.push_back(to_record(report));
@@ -764,7 +700,7 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
         log_info() << "DistRunner: online detection confirmed failure of "
                    << confirmed.size() << " device(s) at step " << step << " after "
                    << attempts_spent << " attempt(s); plan " << active_iter_ms
-                   << " -> " << replanned.deployment.per_iteration_ms
+                   << " -> " << replanned.evaluation.per_iteration_ms
                    << " ms/iteration on " << survivors.device_count()
                    << " survivors" << (degraded ? " (degraded re-plan)" : "");
       }
@@ -782,8 +718,8 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
       }
       straggler_handled = std::move(handled_remapped);
       active_cluster = std::move(survivors);
-      active_iter_ms = replanned.deployment.per_iteration_ms;
-      active_cold_ms = replanned.deployment.cold_iteration_ms;
+      active_iter_ms = replanned.evaluation.per_iteration_ms;
+      active_cold_ms = replanned.evaluation.cold_iteration_ms;
       if (charged) {
         ++step;
         if (live && ckpt_on && step % copts.every == 0 && step < steps) {
@@ -837,18 +773,17 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
         }
         const cluster::ClusterSpec derated =
             faults::degraded_cluster(active_cluster, believed);
-        const PlanResult choice = make_plan(training_graph_, derated, config_,
-                                            /*with_rl=*/false, 0);
-        const PlanResult redeployed =
-            deploy_fixed_plan(training_graph_, active_cluster, config_,
-                              choice.grouping, choice.strategy);
+        const Choice choice = choose_plan(training_graph_, derated, config_, 0);
+        const Deployment redeployed =
+            deploy_plan(training_graph_, active_cluster, config_, choice.grouping,
+                        choice.search.best_strategy);
         monitor->record_replan(step, live);
         std::vector<int> identity(
             static_cast<size_t>(active_cluster.device_count()));
         std::iota(identity.begin(), identity.end(), 0);
         injector.apply_replan(redeployed.compiled->graph, active_cluster, identity);
         monitor->on_replan(identity);
-        stats.oom = stats.oom || redeployed.deployment.oom;
+        stats.oom = stats.oom || redeployed.evaluation.oom;
         if (live) {
           if (log_events) {
             events->emit(obs::Event("degraded_replan")
@@ -861,10 +796,10 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
           log_info() << "DistRunner: re-planned around " << quarantined_now.size()
                      << " quarantined straggler(s) at step " << step << "; plan "
                      << active_iter_ms << " -> "
-                     << redeployed.deployment.per_iteration_ms << " ms/iteration";
+                     << redeployed.evaluation.per_iteration_ms << " ms/iteration";
         }
-        active_iter_ms = redeployed.deployment.per_iteration_ms;
-        active_cold_ms = redeployed.deployment.cold_iteration_ms;
+        active_iter_ms = redeployed.evaluation.per_iteration_ms;
+        active_cold_ms = redeployed.evaluation.cold_iteration_ms;
       }
     }
 
@@ -899,30 +834,36 @@ strategy::StrategyBreakdown DistRunner::breakdown() const {
                                       cluster_.device_count());
 }
 
+DistRunner::DistRunner(cluster::ClusterSpec cluster, HeteroGConfig config,
+                       graph::GraphDef training_graph, strategy::Grouping grouping,
+                       rl::SearchResult search)
+    : cluster_(std::move(cluster)),
+      config_(std::move(config)),
+      training_graph_(std::move(training_graph)),
+      grouping_(std::move(grouping)),
+      strategy_(search.best_strategy),
+      search_(std::move(search)) {
+  Deployment deployment =
+      deploy_plan(training_graph_, cluster_, config_, grouping_, strategy_);
+  compiled_ = std::move(deployment.compiled);
+  deployment_ = std::move(deployment.evaluation);
+  per_iteration_ms_ = deployment_.per_iteration_ms;
+  feasible_ = !deployment_.oom;
+}
+
 DistRunner get_runner(const std::function<graph::GraphDef()>& model_func,
                       const cluster::ClusterSpec& device_info,
                       const HeteroGConfig& config) {
   check(static_cast<bool>(model_func), "get_runner: model_func is empty");
 
-  DistRunner runner;
-  runner.cluster_ = device_info;
-  runner.config_ = config;
-
   // Graph Analyzer: single-GPU forward graph -> full training DAG.
   const graph::GraphDef forward = model_func();
-  runner.training_graph_ = graph::build_training_graph(forward);
+  graph::GraphDef training_graph = graph::build_training_graph(forward);
 
-  PlanResult plan = make_plan(runner.training_graph_, runner.cluster_, config,
-                              config.search_with_rl, config.train.episodes);
-  runner.hardware_ = std::move(plan.hardware);
-  runner.cost_model_ = std::move(plan.cost_model);
-  runner.grouping_ = std::move(plan.grouping);
-  runner.strategy_ = std::move(plan.strategy);
-  runner.search_ = std::move(plan.search);
-  runner.compiled_ = std::move(plan.compiled);
-  runner.deployment_ = std::move(plan.deployment);
-  runner.per_iteration_ms_ = runner.deployment_.per_iteration_ms;
-  runner.feasible_ = !runner.deployment_.oom;
+  Choice choice = choose_plan(training_graph, device_info, config,
+                              config.search_with_rl ? config.train.episodes : 0);
+  DistRunner runner(device_info, config, std::move(training_graph),
+                    std::move(choice.grouping), std::move(choice.search));
 
   log_info() << "get_runner(" << forward.name() << "): deployed plan runs "
              << runner.per_iteration_ms_ << " ms/iteration (feasible="
@@ -1006,23 +947,14 @@ RunStats resume_run(const std::string& journal_path,
   }
 
   // Recompile the dist graph from the journalled plan — no strategy search
-  // is repeated, so resume cost is profile + compile only.
-  PlanResult plan = deploy_fixed_plan(training_graph, journal.cluster, config,
-                                      std::move(grouping), std::move(strategy));
-
-  DistRunner runner;
-  runner.cluster_ = journal.cluster;
-  runner.config_ = config;
-  runner.training_graph_ = std::move(training_graph);
-  runner.hardware_ = std::move(plan.hardware);
-  runner.cost_model_ = std::move(plan.cost_model);
-  runner.grouping_ = std::move(plan.grouping);
-  runner.strategy_ = std::move(plan.strategy);
-  runner.search_ = std::move(plan.search);
-  runner.compiled_ = std::move(plan.compiled);
-  runner.deployment_ = std::move(plan.deployment);
-  runner.per_iteration_ms_ = runner.deployment_.per_iteration_ms;
-  runner.feasible_ = !runner.deployment_.oom;
+  // (and no profiling) is repeated, so resume cost is the deploy stage only.
+  // The runner reports the journalled plan's deployment as its search result.
+  rl::SearchResult search;
+  search.best_strategy = std::move(strategy);
+  DistRunner runner(journal.cluster, config, std::move(training_graph),
+                    std::move(grouping), std::move(search));
+  runner.search_.best_time_ms = runner.per_iteration_ms_;
+  runner.search_.best_feasible = runner.feasible_;
 
   // The resumed run keeps checkpointing: explicit options win, the journal's
   // own directory and cadence are the default.

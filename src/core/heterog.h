@@ -203,6 +203,13 @@ class DistRunner {
                              const ckpt::CheckpointOptions&, obs::EventLog*,
                              store::PlanStore*);
 
+  /// Deploys `search.best_strategy` (over `grouping`) on `cluster` — the
+  /// deploy stage get_runner and resume_run share: ground-truth compile,
+  /// evaluate_plan with utilization, `schedule` events to config.events.
+  DistRunner(cluster::ClusterSpec cluster, HeteroGConfig config,
+             graph::GraphDef training_graph, strategy::Grouping grouping,
+             rl::SearchResult search);
+
   /// Shared engine behind every run() overload and resume_run. Steps in
   /// [0, start_step) are *replayed*: every state transition (transient
   /// escalation, device-failure re-planning, fault-plan remapping) is
@@ -216,8 +223,6 @@ class DistRunner {
 
   cluster::ClusterSpec cluster_;
   HeteroGConfig config_;  // kept for mid-run re-planning
-  std::shared_ptr<profiler::HardwareModel> hardware_;
-  std::shared_ptr<const profiler::CostModel> cost_model_;
   graph::GraphDef training_graph_;
   strategy::Grouping grouping_;
   strategy::StrategyMap strategy_;

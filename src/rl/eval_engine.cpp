@@ -34,10 +34,8 @@ uint64_t EvalEngine::plan_key(const graph::GraphDef& graph,
     }
   }
   // Everything in PlanEvalOptions / CompilerOptions that changes the result.
-  // options.sim_impl is deliberately absent: the reference and data-oriented
-  // simulators are bit-identical (tests/sim_diff_test.cpp), so a memoized
-  // result answers both. Likewise collect_utilization (cache-bypassing
-  // deployment path only) and the engine's PlanEvalScratch (pure memoization).
+  // collect_utilization is deliberately absent (cache-bypassing deployment
+  // path only), as is the engine's PlanEvalScratch (pure memoization).
   h.mix_signed(static_cast<int64_t>(options.policy));
   h.mix_signed(options.unroll_iterations);
   h.mix_double(options.usable_memory_fraction);
@@ -120,9 +118,8 @@ sim::PlanEvaluation EvalEngine::evaluate(const graph::GraphDef& graph,
   const uint64_t key = plan_key(graph, grouping, strategy, options);
   sim::PlanEvaluation cached;
   if (lookup(key, &cached)) return cached;
-  sim::PlanEvaluation eval = sim::evaluate_plan(
-      *costs_, graph, grouping, strategy, options,
-      options_.use_scratch ? &scratch_ : nullptr);
+  sim::PlanEvaluation eval =
+      sim::evaluate_plan(*costs_, graph, grouping, strategy, options, &scratch_);
   insert(key, eval, /*from_store=*/false);
   return eval;
 }

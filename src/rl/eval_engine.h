@@ -26,9 +26,9 @@
 // (read-through on miss, write-behind on every full evaluation). Because
 // plan_key deliberately omits cluster / cost-model identity (the LRU is
 // scoped by construction, above), store keys mix in `store_context` — a
-// caller-supplied hash of exactly that identity (heterog::make_plan derives
-// it from the cluster fingerprint + profiler seed) — so persisted entries
-// can never leak across clusters or cost models.
+// caller-supplied hash of exactly that identity (heterog's planning stage
+// derives it from the cluster fingerprint + profiler seed) — so persisted
+// entries can never leak across clusters or cost models.
 #pragma once
 
 #include <cstdint>
@@ -59,9 +59,6 @@ struct EvalEngineOptions {
   /// plan_key omits (see the header comment). Callers wiring a store MUST
   /// set this to a hash of the cluster + cost-model configuration.
   uint64_t store_context = 0;
-  /// Share one PlanEvalScratch (unrolled-graph cache) across evaluations.
-  /// Results are bit-identical on or off; off exists for perf baselines.
-  bool use_scratch = true;
 };
 
 struct EvalEngineStats {
@@ -132,8 +129,8 @@ class EvalEngine {
   std::unique_ptr<ThreadPool> pool_;  // null when threads <= 1
 
   // Cross-evaluation scratch for evaluate_plan (unrolled-graph cache; own
-  // lock, thread-safe). Like SimImpl, deliberately NOT part of plan_key:
-  // results are bit-identical with and without it.
+  // lock, thread-safe). Deliberately NOT part of plan_key: results are
+  // bit-identical with and without it.
   sim::PlanEvalScratch scratch_;
 
   // LRU cache: most-recently-used at the front of lru_.

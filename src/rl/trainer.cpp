@@ -23,6 +23,29 @@ double wall_ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Closes a search of `model` begun at `t0`: copies the engine traffic since
+/// `before` into `result` and emits the search_end event.
+void end_search(const EvalEngine& engine, const EvalEngineStats& before,
+                obs::EventLog* events, const std::string& model,
+                std::chrono::steady_clock::time_point t0, SearchResult* result) {
+  const EvalEngineStats after = engine.stats();
+  result->eval_cache_hits = after.hits - before.hits;
+  result->eval_cache_misses = after.misses - before.misses;
+  result->eval_store_hits = after.store_hits - before.store_hits;
+  result->eval_store_misses = after.store_misses - before.store_misses;
+  if (events == nullptr) return;
+  events->emit(obs::Event("search_end")
+                   .with("model", model)
+                   .with("episodes_run", result->episodes_run)
+                   .with("best_ms", result->best_time_ms)
+                   .with("best_reward", result->best_reward)
+                   .with("best_feasible", result->best_feasible)
+                   .with("episode_of_best", result->episode_of_best)
+                   .with("cache_hits", result->eval_cache_hits)
+                   .with("cache_misses", result->eval_cache_misses)
+                   .with("wall_ms", wall_ms_since(t0)));
+}
+
 }  // namespace
 
 Trainer::Trainer(const profiler::CostProvider& costs, TrainConfig config)
@@ -35,7 +58,6 @@ Trainer::Trainer(const profiler::CostProvider& costs, TrainConfig config)
   engine_options.cache_capacity = config_.eval_cache_capacity;
   engine_options.plan_store = config_.plan_store;
   engine_options.store_context = config_.plan_store_context;
-  engine_options.use_scratch = config_.eval_scratch;
   engine_ = std::make_unique<EvalEngine>(costs, engine_options);
 }
 
@@ -44,6 +66,13 @@ double Trainer::reward_from(double time_ms, bool oom) const {
   double reward = -std::sqrt(std::max(time_ms, 0.0) / 1000.0);
   if (oom) reward *= config_.oom_penalty_factor;
   return reward;
+}
+
+sim::PlanEvalOptions Trainer::eval_options() const {
+  sim::PlanEvalOptions options;
+  options.compiler = config_.compiler;
+  options.skip_unroll_on_oom = config_.skip_unroll_on_oom;
+  return options;
 }
 
 Evaluation Trainer::to_evaluation(const sim::PlanEvaluation& plan) const {
@@ -57,21 +86,14 @@ Evaluation Trainer::to_evaluation(const sim::PlanEvaluation& plan) const {
 Evaluation Trainer::evaluate(const graph::GraphDef& graph,
                              const strategy::Grouping& grouping,
                              const strategy::StrategyMap& strategy) const {
-  sim::PlanEvalOptions options;
-  options.compiler = config_.compiler;
-  options.sim_impl = config_.sim_impl;
-  options.skip_unroll_on_oom = config_.skip_unroll_on_oom;
-  return to_evaluation(engine_->evaluate(graph, grouping, strategy, options));
+  return to_evaluation(engine_->evaluate(graph, grouping, strategy, eval_options()));
 }
 
 std::vector<Evaluation> Trainer::evaluate_batch(
     const graph::GraphDef& graph, const strategy::Grouping& grouping,
     const std::vector<strategy::StrategyMap>& strategies) const {
-  sim::PlanEvalOptions options;
-  options.compiler = config_.compiler;
-  options.sim_impl = config_.sim_impl;
-  options.skip_unroll_on_oom = config_.skip_unroll_on_oom;
-  const auto plans = engine_->evaluate_batch(graph, grouping, strategies, options);
+  const auto plans =
+      engine_->evaluate_batch(graph, grouping, strategies, eval_options());
   std::vector<Evaluation> evals;
   evals.reserve(plans.size());
   for (const auto& plan : plans) evals.push_back(to_evaluation(plan));
@@ -256,7 +278,6 @@ std::pair<strategy::StrategyMap, Evaluation> Trainer::repair_oom(
   Evaluation eval;
   sim::PlanEvalOptions repair_opts;
   repair_opts.compiler = config_.compiler;
-  repair_opts.sim_impl = config_.sim_impl;
   repair_opts.unroll_iterations = 1;  // memory is what matters here
   // Repair against a slightly tighter memory bound than the real check so
   // the final plan carries slack instead of sitting on the knife edge.
@@ -620,31 +641,44 @@ SearchResult Trainer::search(agent::PolicyNetwork& policy,
     }
   }
 
-  const EvalEngineStats stats_after = engine_->stats();
-  result.eval_cache_hits = stats_after.hits - stats_before.hits;
-  result.eval_cache_misses = stats_after.misses - stats_before.misses;
-  result.eval_store_hits = stats_after.store_hits - stats_before.store_hits;
-  result.eval_store_misses = stats_after.store_misses - stats_before.store_misses;
   result.best_reward = reward_from(result.best_time_ms, !result.best_feasible);
-
-  if (events != nullptr) {
-    events->emit(obs::Event("search_end")
-                     .with("model", encoded.graph->name())
-                     .with("episodes_run", result.episodes_run)
-                     .with("best_ms", result.best_time_ms)
-                     .with("best_reward", result.best_reward)
-                     .with("best_feasible", result.best_feasible)
-                     .with("episode_of_best", result.episode_of_best)
-                     .with("cache_hits", result.eval_cache_hits)
-                     .with("cache_misses", result.eval_cache_misses)
-                     .with("wall_ms", wall_ms_since(search_t0)));
-  }
+  end_search(*engine_, stats_before, events, encoded.graph->name(), search_t0, &result);
 
   log_info() << "search(" << encoded.graph->name() << "): best "
              << result.best_time_ms << " ms after " << result.episodes_run
              << " episodes (feasible=" << result.best_feasible << ", eval cache "
              << result.eval_cache_hits << " hits / " << result.eval_cache_misses
              << " misses)";
+  return result;
+}
+
+SearchResult Trainer::search_heuristic(const graph::GraphDef& graph,
+                                       const strategy::Grouping& grouping) const {
+  const EvalEngineStats stats_before = engine_->stats();
+  const auto t0 = std::chrono::steady_clock::now();
+  // The reduce reads only `oom` and the feasible winner's time, so rejected
+  // candidates skip the steady-state unroll (~40% of an evaluation at 1000
+  // GPUs).
+  sim::PlanEvalOptions options = eval_options();
+  options.skip_unroll_on_oom = true;
+  const std::vector<strategy::StrategyMap> candidates =
+      heuristic_candidates(graph, grouping);
+  const std::vector<sim::PlanEvaluation> plans =
+      engine_->evaluate_batch(graph, grouping, candidates, options);
+
+  SearchResult result;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const Evaluation eval = to_evaluation(plans[i]);
+    const bool better =
+        !eval.oom && (!result.best_feasible || eval.time_ms < result.best_time_ms);
+    if (better || result.best_strategy.group_actions.empty()) {
+      result.best_strategy = candidates[i];
+      result.best_time_ms = eval.time_ms;
+      result.best_reward = eval.reward;
+      result.best_feasible = !eval.oom;
+    }
+  }
+  end_search(*engine_, stats_before, config_.events, graph.name(), t0, &result);
   return result;
 }
 

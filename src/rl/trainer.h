@@ -24,7 +24,7 @@
 #include "compile/compiler.h"
 #include "obs/event_log.h"
 #include "rl/eval_engine.h"
-#include "sim/simulator.h"
+#include "sim/plan_eval.h"
 
 namespace heterog::rl {
 
@@ -54,25 +54,17 @@ struct TrainConfig {
   /// Memoized evaluations kept in the engine's LRU cache (0 disables);
   /// re-sampled strategies skip compile+simulate entirely.
   size_t eval_cache_capacity = 4096;
-  /// Simulator implementation used by every evaluation. The two are
-  /// bit-identical (tests/sim_diff_test.cpp walls it); kReference exists for
-  /// differential testing and as the perf baseline in bench_eval_engine.
-  sim::SimImpl sim_impl = sim::SimImpl::kDataOriented;
-  /// Skip the steady-state unroll for OOM strategies, reporting the cold
-  /// makespan instead (sim::PlanEvalOptions::skip_unroll_on_oom). Changes
-  /// time_ms/reward for infeasible strategies, so the RL search leaves it
-  /// off; heterog::make_plan's heuristic-only path — which reads only the
-  /// feasible winner's time — turns it on to halve the cost of rejected
-  /// candidates on large clusters.
+  /// Skip the steady-state unroll for OOM strategies in evaluate(),
+  /// evaluate_batch() and search(), reporting the cold makespan instead
+  /// (sim::PlanEvalOptions::skip_unroll_on_oom). Changes time_ms/reward for
+  /// infeasible strategies, so the RL search leaves it off.
+  /// search_heuristic() always evaluates this way: its reduce reads only
+  /// `oom` and the feasible winner's time.
   bool skip_unroll_on_oom = false;
-  /// Reuse the engine's cross-evaluation unroll scratch. Off reproduces the
-  /// scratch-free engine for perf baselines; results are identical either
-  /// way (the scratch is pure memoization, not part of any cache key).
-  bool eval_scratch = true;
   /// Durable cross-run evaluation cache (non-owning; must outlive the
   /// Trainer). Null disables the tier. When set, plan_store_context MUST
-  /// carry the cluster/cost-model identity hash (heterog::make_plan derives
-  /// it from the cluster fingerprint + profiler seed) — see
+  /// carry the cluster/cost-model identity hash (heterog's planning stage
+  /// derives it from the cluster fingerprint + profiler seed) — see
   /// rl::EvalEngineOptions::store_context.
   store::PlanStore* plan_store = nullptr;
   uint64_t plan_store_context = 0;
@@ -140,6 +132,15 @@ class Trainer {
   /// exhausted; returns the incumbent best plan.
   SearchResult search(agent::PolicyNetwork& policy, const agent::EncodedGraph& encoded);
 
+  /// Heuristic-only search: evaluates the heuristic_candidates as one
+  /// parallel batch and keeps the fastest feasible one (the first candidate
+  /// when none is feasible). The ordered reduce makes the pick independent
+  /// of the thread count. Rejected candidates skip the steady-state unroll
+  /// (see TrainConfig::skip_unroll_on_oom). Emits one search_end event and
+  /// nothing else; episodes_run and episode_of_best are 0.
+  SearchResult search_heuristic(const graph::GraphDef& graph,
+                                const strategy::Grouping& grouping) const;
+
   /// One multi-graph pre-training round (Sec. 4.1.3 samples a set of graphs
   /// per update). Returns the mean reward across graphs.
   double pretrain_round(agent::PolicyNetwork& policy,
@@ -166,6 +167,7 @@ class Trainer {
 
  private:
   double reward_from(double time_ms, bool oom) const;
+  sim::PlanEvalOptions eval_options() const;
   Evaluation to_evaluation(const sim::PlanEvaluation& plan) const;
   EpisodeStats reinforce_step(agent::PolicyNetwork& policy,
                               const agent::EncodedGraph& encoded,

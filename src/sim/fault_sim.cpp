@@ -1,9 +1,7 @@
 #include "sim/fault_sim.h"
 
 #include <algorithm>
-#include <map>
 
-#include "common/check.h"
 #include "sim/sim_core.h"
 
 namespace heterog::sim {
@@ -90,77 +88,6 @@ bool plan_uses_device(const compile::DistGraph& graph, cluster::DeviceId device)
   return false;
 }
 
-FaultAwareRun simulate_with_faults(const compile::DistGraph& graph,
-                                   const cluster::ClusterSpec& cluster,
-                                   const faults::FaultPlan& plan, int steps,
-                                   SimOptions options) {
-  check(steps >= 0, "simulate_with_faults: negative steps");
-  plan.validate(cluster);
-
-  // Memory tracking is a single-iteration concern; per-step makespans only
-  // need timing, so skip the tracker in the inner loop.
-  SimOptions step_options = options;
-  step_options.track_memory = false;
-  const Simulator simulator(step_options);
-
-  FaultAwareRun run;
-  std::map<std::string, double> memo;
-  SimBaseline baseline;  // unscaled-graph log; recorded on first simulated step
-  for (int step = 0; step < steps; ++step) {
-    const faults::FaultScaling scaling = faults::scaling_at(plan, cluster, step);
-
-    StepOutcome outcome;
-    outcome.step = step;
-    // Isolated devices (cut off by a switch outage) block a step exactly like
-    // failed ones: the plan cannot reach them.
-    for (auto d : scaling.failed) {
-      if (plan_uses_device(graph, d)) outcome.failed_devices.push_back(d);
-    }
-    for (auto d : scaling.isolated) {
-      if (plan_uses_device(graph, d)) outcome.failed_devices.push_back(d);
-    }
-    std::sort(outcome.failed_devices.begin(), outcome.failed_devices.end());
-    if (!outcome.failed_devices.empty()) {
-      outcome.executable = false;
-      run.steps.push_back(outcome);
-      run.first_inexecutable_step = step;
-      break;
-    }
-
-    const std::string key = scaling.signature();
-    auto it = memo.find(key);
-    if (it == memo.end()) {
-      double makespan_ms;
-      if (step_options.impl == SimImpl::kReference) {
-        const compile::DistGraph scaled =
-            scaling.any() ? apply_fault_scaling(graph, cluster, scaling) : graph;
-        makespan_ms = simulator.run(scaled).makespan_ms;
-      } else {
-        // Incremental mode: record the unscaled baseline once, then diff each
-        // fault-scaled variant against it (bit-identical to a full run).
-        if (!baseline.valid) {
-          simulator.run_baseline(graph, policy_priorities(graph, step_options),
-                                 baseline);
-        }
-        if (scaling.any()) {
-          const compile::DistGraph scaled = apply_fault_scaling(graph, cluster, scaling);
-          makespan_ms =
-              simulator.resimulate(scaled, policy_priorities(scaled, step_options),
-                                   baseline)
-                  .makespan_ms;
-        } else {
-          makespan_ms = baseline.result.makespan_ms;
-        }
-      }
-      it = memo.emplace(key, makespan_ms).first;
-    }
-    outcome.makespan_ms = it->second;
-    run.steps.push_back(outcome);
-    run.total_ms += outcome.makespan_ms;
-  }
-  return run;
-}
-
 FaultInjector::FaultInjector(compile::DistGraph graph, cluster::ClusterSpec cluster,
                              faults::FaultPlan plan, SimOptions options)
     : graph_(std::move(graph)),
@@ -176,13 +103,8 @@ FaultInjector::~FaultInjector() = default;
 
 SimResult FaultInjector::simulate_scaled(const faults::FaultScaling& scaling) {
   const Simulator simulator(options_);
-  if (options_.impl == SimImpl::kReference) {
-    const compile::DistGraph scaled =
-        scaling.any() ? apply_fault_scaling(graph_, cluster_, scaling) : graph_;
-    return simulator.run(scaled);
-  }
-  // Incremental mode: one baseline of the unscaled active graph, diffed
-  // against by every fault-scaled variant (bit-identical to a full run).
+  // One baseline of the unscaled active graph, diffed against by every
+  // fault-scaled variant (bit-identical to a full run).
   if (baseline_ == nullptr || !baseline_->valid) {
     if (baseline_ == nullptr) baseline_ = std::make_unique<SimBaseline>();
     simulator.run_baseline(graph_, policy_priorities(graph_, options_), *baseline_);

@@ -1,10 +1,11 @@
-// Fault-aware execution mode for the discrete-event simulator.
+// Fault-aware execution for the discrete-event simulator.
 //
 // Instead of one steady-state scalar, the cluster is stepped through a
 // FaultPlan: for every training step the active fault set scales per-device
-// compute durations and per-link bandwidth, and the step's makespan is
-// reported individually. A step whose plan touches a failed device is
-// flagged inexecutable — the signal DistRunner's re-planning loop consumes.
+// compute durations and per-link bandwidth, and the step is simulated under
+// it. A step whose plan touches a failed device cannot execute — the signal
+// DistRunner's re-planning loop consumes. FaultInjector below is the one
+// stepping engine; it memoises each distinct fault set's simulation.
 #pragma once
 
 #include <map>
@@ -17,19 +18,6 @@
 
 namespace heterog::sim {
 
-struct StepOutcome {
-  int step = 0;
-  double makespan_ms = 0.0;
-  bool executable = true;  // false: a failed device is in the plan
-  std::vector<cluster::DeviceId> failed_devices;  // cause when !executable
-};
-
-struct FaultAwareRun {
-  std::vector<StepOutcome> steps;
-  double total_ms = 0.0;               // sum over executable steps
-  int first_inexecutable_step = -1;    // -1 when every step ran
-};
-
 /// Copy of `graph` with durations scaled by the active fault set: compute
 /// nodes by their device's slowdown, transfer/collective nodes by the
 /// inverse of the degraded link bandwidth factor on their path.
@@ -40,15 +28,6 @@ compile::DistGraph apply_fault_scaling(const compile::DistGraph& graph,
 /// Whether any node of the compiled plan executes on / communicates through
 /// `device`.
 bool plan_uses_device(const compile::DistGraph& graph, cluster::DeviceId device);
-
-/// Steps the plan through `steps` iterations of `plan`. Stops at the first
-/// step whose active fault set fails a device the plan uses (re-planning is
-/// the runner's job, not the simulator's). Identical fault sets are
-/// simulated once and memoised.
-FaultAwareRun simulate_with_faults(const compile::DistGraph& graph,
-                                   const cluster::ClusterSpec& cluster,
-                                   const faults::FaultPlan& plan, int steps,
-                                   SimOptions options = SimOptions());
 
 /// The *injection* half of the fault pipeline (DESIGN.md "Online health &
 /// degraded modes"). The injector owns the FaultPlan and the fault-scaled
@@ -97,10 +76,9 @@ class FaultInjector {
   int device_count() const { return cluster_.device_count(); }
 
  private:
-  /// Simulates the active graph under `scaling`. Data-oriented mode records
-  /// a baseline of the unscaled graph on first use and re-simulates every
-  /// fault-scaled variant incrementally against it; SimImpl::kReference runs
-  /// each variant from scratch. Results are bit-identical either way.
+  /// Simulates the active graph under `scaling`: records a baseline of the
+  /// unscaled graph on first use and re-simulates every fault-scaled variant
+  /// incrementally against it (bit-identical to a from-scratch run).
   SimResult simulate_scaled(const faults::FaultScaling& scaling);
 
   compile::DistGraph graph_;

@@ -117,17 +117,13 @@ PlanEvaluation evaluate_plan(const profiler::CostProvider& costs,
   compiler_options.validate_output = false;  // asserted structure, not results
   const compile::GraphCompiler compiler(costs, compiler_options);
 
-  // One simulation entry point for both implementations. The data-oriented
-  // path builds the flat CompactGraph once per distinct graph and reuses the
-  // per-thread workspace across the candidate runs (zero allocations after
-  // warm-up); the reference path goes through the legacy simulator.
+  // One simulation entry point: builds the flat CompactGraph once per
+  // distinct graph and reuses the per-thread workspace across the candidate
+  // runs (zero allocations after warm-up).
   const compile::DistGraph* built_for = nullptr;
   auto simulate = [&](const compile::DistGraph& graph,
                       const std::vector<double>& priorities,
                       const SimOptions& sim_opts) -> SimResult {
-    if (sim_opts.impl == SimImpl::kReference) {
-      return Simulator(sim_opts).run_with_priorities(graph, priorities);
-    }
     SimWorkspace& ws = thread_workspace();
     if (built_for != &graph) {
       validate_for_simulation(graph);
@@ -148,7 +144,6 @@ PlanEvaluation evaluate_plan(const profiler::CostProvider& costs,
   SimOptions sim_options;
   sim_options.policy = options.policy;
   sim_options.usable_memory_fraction = options.usable_memory_fraction;
-  sim_options.impl = options.sim_impl;
 
   SimResult single;
   bool chained_rank_won = true;

@@ -68,11 +68,6 @@ struct PlanEvalOptions {
   /// — which only ever reads `oom` and the winner's time — turns it on.
   /// IS part of rl::EvalEngine's cache key (it changes results).
   bool skip_unroll_on_oom = false;
-  /// Simulator implementation used for every simulation inside the
-  /// evaluation. Deliberately NOT part of rl::EvalEngine's cache key either:
-  /// the two implementations are bit-identical (tests/sim_diff_test.cpp
-  /// walls this), so a memoized result is valid for both.
-  SimImpl sim_impl = SimImpl::kDataOriented;
 };
 
 /// Cross-call scratch for evaluate_plan. Caches the unrolled training

@@ -31,8 +31,8 @@ void mem_release_output(const CompactGraph& g, SimWorkspace& ws, int32_t v) {
   }
 }
 
-/// MemoryTracker::on_finish: a terminal node's output is released
-/// immediately; otherwise it lives until the last consumer finishes.
+/// A finished node's output: released immediately when it has no
+/// consumers; otherwise it lives until the last consumer finishes.
 void mem_on_finish(const CompactGraph& g, SimWorkspace& ws, int32_t v) {
   if (ws.remaining_consumers[static_cast<size_t>(v)] == 0) mem_release_output(g, ws, v);
   for (int32_t k = g.pred_off[static_cast<size_t>(v)];

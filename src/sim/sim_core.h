@@ -1,8 +1,9 @@
 // Data-oriented simulator core (DESIGN.md §5i).
 //
-// The reference simulator in simulator.cpp allocates per run: a
-// vector<vector<int>> of resource sets, one std::priority_queue per
-// resource, and a MemoryTracker. This core replaces all of that with flat
+// The original simulator (kept test-side as the differential oracle,
+// tests/reference_sim.h) allocates per run: a vector<vector<int>> of
+// resource sets, one std::priority_queue per resource, and a per-device
+// memory tracker. This core replaces all of that with flat
 // structure-of-arrays state over the DistNodeId / resource index spaces:
 //
 //   * CompactGraph — a string-free SoA snapshot of a DistGraph (durations,
@@ -113,7 +114,7 @@ struct SimWorkspace {
   std::vector<int32_t> dirty;
   std::vector<uint8_t> in_dirty;               // per resource: in `dirty`
 
-  // Memory tracking (merged MemoryTracker state).
+  // Memory tracking (reference-counted live tensors per device).
   std::vector<int64_t> mem_current;            // per device
   std::vector<int32_t> remaining_consumers;    // per node
 

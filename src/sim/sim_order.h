@@ -1,6 +1,6 @@
-// The simulator's scheduling orders, shared by the reference and
-// data-oriented implementations so both pop ready nodes and drain events in
-// exactly the same sequence.
+// The simulator's scheduling orders, shared by the data-oriented core and
+// the test-side reference simulator (tests/reference_sim.h) so both pop
+// ready nodes and drain events in exactly the same sequence.
 //
 // Every comparator below is a *strict total order*: ties on the primary key
 // (priority, time) are broken by a unique secondary key (arrival sequence,

@@ -11,22 +11,11 @@
 
 namespace heterog::sim {
 
-/// Which simulator implementation executes a run. Both produce bit-identical
-/// results (tests/sim_diff_test.cpp is the wall); the reference path is the
-/// original per-node priority_queue implementation, kept as the differential
-/// oracle until the wall has soaked.
-enum class SimImpl : uint8_t {
-  kDataOriented,  // flat SoA core with pooled workspace (default)
-  kReference,     // legacy std::priority_queue implementation
-};
-
 struct SimOptions {
   sched::OrderPolicy policy = sched::OrderPolicy::kRankPriority;
   bool track_memory = true;
   /// Fraction of device memory usable by the job (framework overheads).
   double usable_memory_fraction = 0.92;
-  /// Implementation selector; results are identical either way.
-  SimImpl impl = SimImpl::kDataOriented;
 };
 
 struct SimResult {

@@ -11,11 +11,10 @@
 //   * per-iteration makespan plus computation / communication busy times for
 //     the Fig. 8 breakdown.
 //
-// Two implementations produce bit-identical results (SimOptions::impl):
-// the data-oriented core (sim_core.h — flat SoA state, pooled per-thread
-// workspace, incremental re-simulation) and the reference per-node
-// priority_queue path kept as the differential oracle. The differential wall
-// is tests/sim_diff_test.cpp.
+// The engine is the data-oriented core (sim_core.h — flat SoA state, pooled
+// per-thread workspace, incremental re-simulation). The original per-node
+// priority_queue simulator lives test-side (tests/reference_sim.h) as its
+// differential oracle; the wall is tests/sim_diff_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +45,6 @@ class Simulator {
 
   /// Like run_with_priorities, but records an execution log into `baseline`
   /// so later deltas of the same graph can be re-simulated incrementally.
-  /// Always uses the data-oriented core (the log is its format).
   SimResult run_baseline(const compile::DistGraph& graph,
                          const std::vector<double>& priorities,
                          SimBaseline& baseline) const;

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -216,68 +217,32 @@ PlanStore::~PlanStore() {
 }
 
 void PlanStore::acquire_lock() {
+  // One writer per directory, enforced by the kernel: an exclusive flock on
+  // a persistent store.lock, held through an open fd for the store's
+  // lifetime. The kernel drops it when that fd closes — on release or when
+  // the holder dies — so a crashed writer never leaves a stale lock and no
+  // takeover protocol exists to race. The file is never unlinked: after an
+  // unlink a later opener would lock a fresh inode while the holder still
+  // locks the old one.
   const std::string path = lock_path();
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
-    if (fd >= 0) {
-      const std::string line = "pid " + std::to_string(::getpid()) + "\n";
-      (void)!::write(fd, line.data(), line.size());
-      ::fsync(fd);
-      ::close(fd);
-      lock_held_ = true;
-      return;
-    }
-    if (errno != EEXIST) env_fail("cannot create lock file " + path, errno);
-
-    // Somebody holds (or held) the lock — stale-lock takeover iff the
-    // recorded pid no longer exists.
-    long long pid = -1;
-    {
-      std::ifstream in(path);
-      std::string word;
-      if (in && in >> word && word == "pid") in >> pid;
-    }
-    // An unreadable or pid-less lock is treated as LIVE, not stale: a fresh
-    // lock is empty for the instant between its O_EXCL create and the pid
-    // write, and classifying that instant as "dead" would let a concurrent
-    // claimant rename a live writer's lock away. The cost — a writer killed
-    // inside that same instant leaves a lock only a human clears — is far
-    // narrower than two live writers on one journal.
-    if (pid <= 0) {
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) env_fail("cannot open lock file " + path, errno);
+  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+    const int err = errno;
+    ::close(fd);
+    if (err == EWOULDBLOCK) {
       throw StoreError(StoreError::Kind::kLocked,
-                       options_.dir + " is locked (owner not yet recorded)");
+                       options_.dir + " is locked by another writer");
     }
-    const bool alive =
-        ::kill(static_cast<pid_t>(pid), 0) == 0 || errno == EPERM;
-    if (alive) {
-      throw StoreError(StoreError::Kind::kLocked,
-                       options_.dir + " is locked by live pid " + std::to_string(pid));
-    }
-    // Dead owner: take over by *renaming* the stale lock to
-    // a per-claimant name, never by unlinking it in place. remove() here was
-    // a TOCTOU hole: two openers could both observe the dead pid, then the
-    // slower one would unlink the lock the faster one had just re-created —
-    // two live writers on one journal. rename() of the same source succeeds
-    // for exactly one claimant (the loser gets ENOENT), so at most one
-    // process proceeds to the O_EXCL create per stale lock; everyone else
-    // loops and sees either the winner's fresh live lock (kLocked) or an
-    // open race it can win legitimately. tests/store_test.cpp pins this with
-    // a fork barrier of simultaneous claimants.
-    const std::string claim = path + ".stale." + std::to_string(::getpid());
-    if (::rename(path.c_str(), claim.c_str()) == 0) {
-      std::remove(claim.c_str());
-    } else if (errno != ENOENT) {
-      env_fail("cannot take over stale lock " + path, errno);
-    }
+    env_fail("cannot lock " + path, err);
   }
-  throw StoreError(StoreError::Kind::kEnvironment,
-                   "could not acquire lock " + path + " (takeover loop exhausted)");
+  lock_fd_ = fd;
 }
 
 void PlanStore::release_lock() {
-  if (!lock_held_) return;
-  std::remove(lock_path().c_str());
-  lock_held_ = false;
+  if (lock_fd_ < 0) return;
+  ::close(lock_fd_);  // drops the flock; the file stays
+  lock_fd_ = -1;
 }
 
 void PlanStore::sweep_stale_tmp_files() {
@@ -287,16 +252,9 @@ void PlanStore::sweep_stale_tmp_files() {
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(options_.dir, ec)) {
     const std::string name = entry.path().filename().string();
-    // "<file>.tmp.<pid>" atomic-save temporaries, plus "store.lock.stale.<pid>"
-    // rename-claimed stale locks a claimant died holding (acquire_lock).
-    size_t tag = name.find(".tmp.");
-    size_t tag_len = 5;
-    if (tag == std::string::npos) {
-      tag = name.find(".stale.");
-      tag_len = 7;
-    }
+    const size_t tag = name.find(".tmp.");
     if (tag == std::string::npos) continue;
-    const std::string pid_text = name.substr(tag + tag_len);
+    const std::string pid_text = name.substr(tag + 5);
     char* end = nullptr;
     const long long pid = std::strtoll(pid_text.c_str(), &end, 10);
     const bool numeric = end != nullptr && *end == '\0' && !pid_text.empty();

@@ -22,9 +22,11 @@
 //     <N>". An unknown (newer) version quarantines the whole journal and
 //     rebuilds empty rather than guessing at its framing; generations count
 //     compactions so forensics can tell rewrites apart.
-//   * single writer — `store.lock` (O_CREAT|O_EXCL, pid inside) enforces one
-//     writer; a lock held by a dead pid is taken over, a live one raises
-//     StoreError{kLocked}. Readers (read_only) skip the lock entirely.
+//   * single writer — an exclusive flock on `store.lock`, held for the
+//     store's lifetime, enforces one writer; a held lock raises
+//     StoreError{kLocked}. The kernel releases it when the holder closes or
+//     dies, so there are no stale locks. Readers (read_only) skip the lock
+//     entirely.
 //
 // Correctness contract: a store lookup only ever returns bytes that round-
 // trip the exact doubles written (%.17g), keyed by the caller's 64-bit hash
@@ -51,7 +53,7 @@ namespace heterog::store {
 
 /// The only exception PlanStore throws. kEnvironment: the directory cannot
 /// be created/written (missing parent, path is a file, read-only fs).
-/// kLocked: another live process holds the writer lock.
+/// kLocked: another open store holds the writer lock.
 class StoreError : public std::runtime_error {
  public:
   enum class Kind { kEnvironment, kLocked };
@@ -152,7 +154,7 @@ class PlanStore {
   std::unordered_map<uint64_t, sim::PlanEvaluation> map_;
   std::string pending_;        // framed records awaiting one append batch
   size_t pending_records_ = 0;
-  bool lock_held_ = false;
+  int lock_fd_ = -1;  // holds the writer flock while open; -1 when not held
   PlanStoreStats stats_;
 };
 

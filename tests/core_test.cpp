@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <set>
+#include <string>
+
+#include "agent/features.h"
 #include "core/heterog.h"
 #include "models/models.h"
+#include "obs/event_log.h"
+#include "profiler/profiler.h"
 
 namespace heterog {
 namespace {
@@ -42,6 +51,74 @@ TEST(Core, HeuristicOnlyModeIsFastAndFeasible) {
       [] { return models::build_forward(models::ModelKind::kVgg19, 0, 192); },
       cluster::make_paper_testbed_8gpu(), config);
   EXPECT_TRUE(runner.feasible());
+}
+
+// A heuristic-only get_runner runs exactly Trainer::search_heuristic on the
+// profiled, encoded graph, and its event log carries that search's single
+// search_end (planbench's traced pass reads its wall) and no RL events.
+TEST(Core, HeuristicGetRunnerRunsSearchHeuristic) {
+  const auto model = [] {
+    return models::build_forward(models::ModelKind::kInceptionV3, 0, 96);
+  };
+  const cluster::ClusterSpec cluster = cluster::make_paper_testbed_8gpu();
+  const std::filesystem::path log_path =
+      std::filesystem::temp_directory_path() /
+      ("heterog_core_heuristic_" + std::to_string(::getpid()) + ".jsonl");
+  std::filesystem::remove(log_path);
+
+  HeteroGConfig config = fast_config();
+  config.search_with_rl = false;
+  rl::SearchResult deployed;
+  {
+    obs::EventLog log(log_path.string());
+    ASSERT_TRUE(log.ok());
+    config.train.events = &log;
+    deployed = get_runner(model, cluster, config).search_result();
+  }
+
+  const graph::GraphDef training = graph::build_training_graph(model());
+  const profiler::HardwareModel hardware(cluster);
+  profiler::Profiler prof(hardware, config.profiler_seed);
+  const auto costs = prof.profile(training);
+  const agent::EncodedGraph encoded =
+      agent::encode_graph(training, *costs, config.agent.max_groups);
+  rl::TrainConfig train = config.train;
+  train.events = nullptr;
+  const rl::SearchResult direct =
+      rl::Trainer(*costs, train).search_heuristic(training, encoded.grouping);
+
+  EXPECT_EQ(deployed.best_strategy.group_actions, direct.best_strategy.group_actions);
+  EXPECT_EQ(deployed.best_time_ms, direct.best_time_ms);
+  EXPECT_EQ(deployed.best_reward, direct.best_reward);
+  EXPECT_EQ(deployed.best_feasible, direct.best_feasible);
+  EXPECT_EQ(deployed.episodes_run, 0);
+  EXPECT_EQ(deployed.episode_of_best, 0);
+  EXPECT_TRUE(deployed.episode_best_ms.empty());
+  EXPECT_EQ(deployed.eval_cache_hits, direct.eval_cache_hits);
+  EXPECT_EQ(deployed.eval_cache_misses, direct.eval_cache_misses);
+  EXPECT_GT(deployed.eval_cache_misses, 0u);
+
+  int search_ends = 0;
+  for (const obs::ParsedEvent& e : obs::read_events(log_path.string())) {
+    EXPECT_NE(e.type, "search_start");
+    EXPECT_NE(e.type, "search_phase");
+    EXPECT_NE(e.type, "search_episode");
+    if (e.type != "search_end") continue;
+    ++search_ends;
+    std::set<std::string> keys;
+    for (const auto& [key, value] : e.fields) keys.insert(key);
+    EXPECT_EQ(keys, (std::set<std::string>{"model", "episodes_run", "best_ms",
+                                           "best_reward", "best_feasible",
+                                           "episode_of_best", "cache_hits",
+                                           "cache_misses", "wall_ms"}));
+    EXPECT_EQ(e.str("model"), training.name());
+    EXPECT_EQ(e.number("episodes_run", -1.0), 0.0);
+    EXPECT_EQ(e.number("best_ms"), direct.best_time_ms);
+    EXPECT_EQ(e.number("cache_misses"), static_cast<double>(direct.eval_cache_misses));
+    EXPECT_GE(e.number("wall_ms", -1.0), 0.0);
+  }
+  EXPECT_EQ(search_ends, 1);
+  std::filesystem::remove(log_path);
 }
 
 TEST(Core, BreakdownFractionsSumToOne) {

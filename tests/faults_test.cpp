@@ -484,6 +484,19 @@ TEST(FaultScalingErrors, DegradedClusterNamesBadLinkEndpoint) {
 }
 
 // Fault-aware simulation ----------------------------------------------------
+//
+// sim::FaultInjector steps a compiled plan through a FaultPlan one attempt at
+// a time. These pin its per-step makespans, the step a failed device blocks
+// and the devices that go silent there.
+
+/// Devices whose heartbeat `obs` reports missing.
+std::vector<cluster::DeviceId> silent_devices(const health::Observation& obs) {
+  std::vector<cluster::DeviceId> silent;
+  for (size_t d = 0; d < obs.responded.size(); ++d) {
+    if (obs.responded[d] == 0) silent.push_back(static_cast<cluster::DeviceId>(d));
+  }
+  return silent;
+}
 
 TEST(FaultSim, ReportsPerStepMakespans) {
   const auto cluster4 = cluster::make_fig3_testbed();
@@ -493,14 +506,23 @@ TEST(FaultSim, ReportsPerStepMakespans) {
 
   FaultPlan plan;
   plan.events = {straggler(0, 3.0, 1, 3)};
-  const auto run = sim::simulate_with_faults(g, cluster4, plan, 5);
-  ASSERT_EQ(run.steps.size(), 5u);
-  EXPECT_DOUBLE_EQ(run.steps[0].makespan_ms, 2.0);
-  EXPECT_DOUBLE_EQ(run.steps[1].makespan_ms, 6.0);
-  EXPECT_DOUBLE_EQ(run.steps[2].makespan_ms, 6.0);
-  EXPECT_DOUBLE_EQ(run.steps[3].makespan_ms, 2.0);
-  EXPECT_EQ(run.first_inexecutable_step, -1);
-  EXPECT_DOUBLE_EQ(run.total_ms, 2.0 + 6.0 + 6.0 + 2.0 + 2.0);
+  sim::FaultInjector injector(g, cluster4, plan, sim::SimOptions());
+  std::vector<double> makespans;
+  double total_ms = 0.0;
+  for (int step = 0; step < 5; ++step) {
+    const health::Observation obs = injector.attempt_step(step, 0);
+    ASSERT_TRUE(obs.completed) << "step " << step;
+    EXPECT_DOUBLE_EQ(
+        injector.measure(faults::scaling_at(plan, cluster4, step)).makespan_ms,
+        obs.makespan_ms);
+    makespans.push_back(obs.makespan_ms);
+    total_ms += obs.makespan_ms;
+  }
+  EXPECT_DOUBLE_EQ(makespans[0], 2.0);
+  EXPECT_DOUBLE_EQ(makespans[1], 6.0);
+  EXPECT_DOUBLE_EQ(makespans[2], 6.0);
+  EXPECT_DOUBLE_EQ(makespans[3], 2.0);
+  EXPECT_DOUBLE_EQ(total_ms, 2.0 + 6.0 + 6.0 + 2.0 + 2.0);
 }
 
 TEST(FaultSim, DeviceFailureMarksStepInexecutable) {
@@ -511,12 +533,19 @@ TEST(FaultSim, DeviceFailureMarksStepInexecutable) {
 
   FaultPlan plan;
   plan.events = {device_failure(1, 2)};
-  const auto run = sim::simulate_with_faults(g, cluster4, plan, 5);
-  ASSERT_EQ(run.steps.size(), 3u);
-  EXPECT_EQ(run.first_inexecutable_step, 2);
-  EXPECT_FALSE(run.steps[2].executable);
-  ASSERT_EQ(run.steps[2].failed_devices.size(), 1u);
-  EXPECT_EQ(run.steps[2].failed_devices[0], 1);
+  sim::FaultInjector injector(g, cluster4, plan, sim::SimOptions());
+  int first_inexecutable_step = -1;
+  health::Observation blocked;
+  for (int step = 0; step < 5 && first_inexecutable_step < 0; ++step) {
+    const health::Observation obs = injector.attempt_step(step, 0);
+    if (!obs.completed) {
+      first_inexecutable_step = step;
+      blocked = obs;
+    }
+  }
+  EXPECT_EQ(first_inexecutable_step, 2);
+  EXPECT_LT(blocked.error_device, 0);  // a timeout: heartbeats are the signal
+  EXPECT_EQ(silent_devices(blocked), (std::vector<cluster::DeviceId>{1}));
 }
 
 TEST(FaultSim, FailureOfUnusedDeviceDoesNotStopExecution) {
@@ -526,9 +555,14 @@ TEST(FaultSim, FailureOfUnusedDeviceDoesNotStopExecution) {
 
   FaultPlan plan;
   plan.events = {device_failure(3, 1)};
-  const auto run = sim::simulate_with_faults(g, cluster4, plan, 4);
-  EXPECT_EQ(run.first_inexecutable_step, -1);
-  EXPECT_EQ(run.steps.size(), 4u);
+  sim::FaultInjector injector(g, cluster4, plan, sim::SimOptions());
+  for (int step = 0; step < 4; ++step) {
+    const health::Observation obs = injector.attempt_step(step, 0);
+    EXPECT_TRUE(obs.completed) << "step " << step;
+    EXPECT_EQ(silent_devices(obs), step >= 1 ? std::vector<cluster::DeviceId>{3}
+                                             : std::vector<cluster::DeviceId>{})
+        << "step " << step;
+  }
 }
 
 // apply_oom_check hardening (regression: peak vector shorter than device

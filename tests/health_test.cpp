@@ -582,13 +582,28 @@ TEST(OnlineHealth, StragglerReplanReactsToQuarantineWhenEnabled) {
     EXPECT_GE(stats.health.quarantines, 1);
   }
 
-  bool saw_straggler_replan = false;
+  // Each re-plan chooses on the derated cluster and deploys once, on the
+  // real one: exactly one `schedule` event between the step that triggered
+  // it and its degraded_replan event, and none anywhere else but the
+  // initial deployment's.
+  int straggler_replans = 0, schedules = 0, schedules_since_step = 0;
   for (const auto& event : obs::read_events(log_path.string())) {
+    if (event.type == "schedule") {
+      ++schedules;
+      ++schedules_since_step;
+      EXPECT_EQ(event.number("devices"), 4.0);
+    } else if (event.type == "run_step") {
+      schedules_since_step = 0;
+    }
     if (event.type != "degraded_replan") continue;
     EXPECT_TRUE(event.has("reason"));
-    if (event.str("reason") == "straggler_replan") saw_straggler_replan = true;
+    if (event.str("reason") == "straggler_replan") {
+      ++straggler_replans;
+      EXPECT_EQ(schedules_since_step, 1) << "re-plan " << straggler_replans;
+    }
   }
-  EXPECT_TRUE(saw_straggler_replan);
+  EXPECT_GE(straggler_replans, 1);
+  EXPECT_EQ(schedules, 1 + straggler_replans);
   fs::remove(log_path);
 }
 

@@ -29,6 +29,7 @@
 #include "store/plan_store.h"
 #include "strategy/serialize.h"
 #include "strategy/strategy.h"
+#include "reference_sim.h"
 
 namespace heterog {
 namespace {
@@ -388,8 +389,9 @@ TEST(Fuzz, ServerReplyDecodeNeverCrashes) {
 // Simulator-input fuzzer: malformed / degenerate DistGraph shapes. The
 // contract is reject-or-complete — every entry point either throws a typed
 // CheckError (validate_for_simulation) or finishes the run; it never hangs,
-// never corrupts a heap, never trips ASan/UBSan. Both implementations must
-// agree on which of the two happens, and on the result when they complete.
+// never corrupts a heap, never trips ASan/UBSan. The simulator and the
+// test-side reference must agree on which of the two happens, and on the
+// result when they complete.
 
 TEST(Fuzz, SimulatorDegenerateGraphShapes) {
   // Targeted shapes first: each either passes DistGraph::add_node and must
@@ -399,20 +401,16 @@ TEST(Fuzz, SimulatorDegenerateGraphShapes) {
   using compile::NodeKind;
 
   auto run_both = [](const DistGraph& g) {
-    // Returns true when the graph was rejected; checks both impls agree.
-    sim::SimOptions reference_options;
-    reference_options.impl = sim::SimImpl::kReference;
-    sim::SimOptions data_options;
-    data_options.impl = sim::SimImpl::kDataOriented;
+    // Returns true when the graph was rejected; checks both agree.
     bool reference_rejected = false, data_rejected = false;
     double reference_ms = -1.0, data_ms = -1.0;
     try {
-      reference_ms = sim::Simulator(reference_options).run(g).makespan_ms;
+      reference_ms = testing::reference_run(g).makespan_ms;
     } catch (const CheckError&) {
       reference_rejected = true;
     }
     try {
-      data_ms = sim::Simulator(data_options).run(g).makespan_ms;
+      data_ms = sim::Simulator().run(g).makespan_ms;
     } catch (const CheckError&) {
       data_rejected = true;
     }

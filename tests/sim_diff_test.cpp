@@ -1,7 +1,8 @@
 // Differential wall for the data-oriented simulator core (DESIGN.md §5i).
 //
-// The reference per-node priority_queue simulator is the oracle; the flat
-// SoA core and the incremental re-simulation path must reproduce it
+// The test-side reference simulator (reference_sim.h, the original per-node
+// priority_queue implementation) is the oracle; the library's flat SoA core
+// and its incremental re-simulation path must reproduce it
 // BIT-identically — makespans, busy times, peak-memory vectors and the full
 // start/finish trace are compared with exact (memcmp-grade) equality, never
 // tolerances. Scenarios are seeded and randomized: models × clusters ×
@@ -24,6 +25,7 @@
 #include "sim/sim_core.h"
 #include "sim/simulator.h"
 #include "strategy/strategy.h"
+#include "reference_sim.h"
 #include "test_util.h"
 
 namespace heterog {
@@ -31,10 +33,10 @@ namespace {
 
 using sched::OrderPolicy;
 using sim::SimBaseline;
-using sim::SimImpl;
 using sim::SimOptions;
 using sim::SimResult;
 using sim::Simulator;
+using testing::reference_run;
 
 bool bytes_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
@@ -121,37 +123,32 @@ void run_scenario(int seed, const graph::GraphDef& graph,
 
   const OrderPolicy policy =
       rng() % 2 == 0 ? OrderPolicy::kRankPriority : OrderPolicy::kFifo;
-  SimOptions reference_options;
-  reference_options.policy = policy;
-  reference_options.impl = SimImpl::kReference;
-  reference_options.track_memory = rng() % 4 != 0;
-  SimOptions data_options = reference_options;
-  data_options.impl = SimImpl::kDataOriented;
+  SimOptions options;
+  options.policy = policy;
+  options.track_memory = rng() % 4 != 0;
 
   const auto priorities = priorities_for(compiled.graph, policy);
-  const SimResult oracle =
-      Simulator(reference_options).run_with_priorities(compiled.graph, priorities);
+  const SimResult oracle = reference_run(compiled.graph, priorities, options);
 
   // Data-oriented from scratch, baseline recording, and a no-op delta.
   const SimResult data =
-      Simulator(data_options).run_with_priorities(compiled.graph, priorities);
+      Simulator(options).run_with_priorities(compiled.graph, priorities);
   expect_identical(oracle, data, tag + ": data-oriented");
   SimBaseline baseline;
   const SimResult recorded =
-      Simulator(data_options).run_baseline(compiled.graph, priorities, baseline);
+      Simulator(options).run_baseline(compiled.graph, priorities, baseline);
   expect_identical(oracle, recorded, tag + ": baseline recording");
   const SimResult noop =
-      Simulator(data_options).resimulate(compiled.graph, priorities, baseline);
+      Simulator(options).resimulate(compiled.graph, priorities, baseline);
   expect_identical(oracle, noop, tag + ": no-op delta");
 
   // Fault-scaled delta: durations change, structure does not.
   const faults::FaultScaling scaling = random_scaling(rng, devices);
   const auto scaled = sim::apply_fault_scaling(compiled.graph, rig.cluster, scaling);
   const auto scaled_priorities = priorities_for(scaled, policy);
-  const SimResult scaled_oracle =
-      Simulator(reference_options).run_with_priorities(scaled, scaled_priorities);
+  const SimResult scaled_oracle = reference_run(scaled, scaled_priorities, options);
   const SimResult scaled_incremental =
-      Simulator(data_options).resimulate(scaled, scaled_priorities, baseline);
+      Simulator(options).resimulate(scaled, scaled_priorities, baseline);
   expect_identical(scaled_oracle, scaled_incremental, tag + ": fault delta");
 
   // Single-action strategy delta: the re-compiled graph can have a different
@@ -163,10 +160,9 @@ void run_scenario(int seed, const graph::GraphDef& graph,
   const auto recompiled = rig.compiler->compile(graph, grouping, flipped);
   const auto flipped_priorities = priorities_for(recompiled.graph, policy);
   const SimResult flipped_oracle =
-      Simulator(reference_options)
-          .run_with_priorities(recompiled.graph, flipped_priorities);
+      reference_run(recompiled.graph, flipped_priorities, options);
   const SimResult flipped_incremental =
-      Simulator(data_options).resimulate(recompiled.graph, flipped_priorities, baseline);
+      Simulator(options).resimulate(recompiled.graph, flipped_priorities, baseline);
   expect_identical(flipped_oracle, flipped_incremental, tag + ": strategy delta");
 }
 
@@ -242,9 +238,9 @@ TEST(SimDiffTest, PaperModels) {
   }
 }
 
-// The memoised fault runner must agree with from-scratch simulation of every
-// scaled variant regardless of implementation: kReference recomputes, the
-// default incrementally replays the unscaled baseline.
+// The fault injector (memoised, incrementally re-simulated against the
+// unscaled baseline) must agree at every step with a from-scratch reference
+// run of the graph scaled by that step's active fault set.
 TEST(SimDiffTest, FaultInjectorPathsAgree) {
   testing::TestRig rig(cluster::make_paper_testbed_8gpu());
   const auto graph = testing::make_toy_training_graph(64.0);
@@ -260,33 +256,26 @@ TEST(SimDiffTest, FaultInjectorPathsAgree) {
   slow.slowdown = 3.0;
   plan.events.push_back(slow);
 
-  SimOptions reference_options;
-  reference_options.impl = SimImpl::kReference;
-  SimOptions data_options;
-  data_options.impl = SimImpl::kDataOriented;
-  sim::FaultInjector reference_injector(compiled.graph, rig.cluster, plan,
-                                        reference_options);
-  sim::FaultInjector data_injector(compiled.graph, rig.cluster, plan, data_options);
+  SimOptions options;
+  sim::FaultInjector injector(compiled.graph, rig.cluster, plan, options);
+  // The injector times steps without memory tracking; so does the oracle.
+  options.track_memory = false;
+  const auto& resources = compiled.graph.resources();
   for (int step = 0; step < 4; ++step) {
-    const auto reference_obs = reference_injector.attempt_step(step, 0);
-    const auto data_obs = data_injector.attempt_step(step, 0);
-    ASSERT_EQ(reference_obs.completed, data_obs.completed) << "step " << step;
-    EXPECT_TRUE(bytes_equal({reference_obs.makespan_ms}, {data_obs.makespan_ms}))
-        << "step " << step;
-    EXPECT_TRUE(bytes_equal(reference_obs.device_busy_ms, data_obs.device_busy_ms))
-        << "step " << step;
-  }
+    const faults::FaultScaling scaling = faults::scaling_at(plan, rig.cluster, step);
+    const SimResult oracle = reference_run(
+        sim::apply_fault_scaling(compiled.graph, rig.cluster, scaling), options);
+    std::vector<double> oracle_busy(static_cast<size_t>(rig.cluster.device_count()), 0.0);
+    for (int r = 0; r < static_cast<int>(oracle.resource_busy_ms.size()); ++r) {
+      if (resources.is_gpu_resource(r) && r < rig.cluster.device_count()) {
+        oracle_busy[static_cast<size_t>(r)] = oracle.resource_busy_ms[static_cast<size_t>(r)];
+      }
+    }
 
-  const auto reference_run = sim::simulate_with_faults(compiled.graph, rig.cluster,
-                                                       plan, 4, reference_options);
-  const auto data_run =
-      sim::simulate_with_faults(compiled.graph, rig.cluster, plan, 4, data_options);
-  ASSERT_EQ(reference_run.steps.size(), data_run.steps.size());
-  EXPECT_TRUE(bytes_equal({reference_run.total_ms}, {data_run.total_ms}));
-  for (size_t i = 0; i < reference_run.steps.size(); ++i) {
-    EXPECT_TRUE(bytes_equal({reference_run.steps[i].makespan_ms},
-                            {data_run.steps[i].makespan_ms}))
-        << "step " << i;
+    const auto obs = injector.attempt_step(step, 0);
+    ASSERT_TRUE(obs.completed) << "step " << step;
+    EXPECT_TRUE(bytes_equal({oracle.makespan_ms}, {obs.makespan_ms})) << "step " << step;
+    EXPECT_TRUE(bytes_equal(oracle_busy, obs.device_busy_ms)) << "step " << step;
   }
 }
 

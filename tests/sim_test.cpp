@@ -11,6 +11,7 @@
 #include "sched/scheduler.h"
 #include "sim/sim_order.h"
 #include "sim/simulator.h"
+#include "reference_sim.h"
 #include "test_util.h"
 
 namespace heterog::sim {
@@ -301,8 +302,8 @@ TEST(SchedulingOrder, RankOrderTieBreaksByArrivalSequence) {
 
 // End-to-end: two predecessors completing at the same instant feed two
 // equal-priority ops on one GPU. The (time, node) event order and the
-// (priority, sequence) ready order pin the winner; both implementations must
-// agree exactly.
+// (priority, sequence) ready order pin the winner; the simulator and the
+// test-side reference must agree exactly.
 TEST(SchedulingOrder, EqualTimeCompletionsScheduleIdenticallyOnBothImpls) {
   DistGraph g(3);
   const auto a = add_compute(g, "a", 0, 2.0);  // finish exactly at t=2
@@ -313,15 +314,12 @@ TEST(SchedulingOrder, EqualTimeCompletionsScheduleIdenticallyOnBothImpls) {
   g.add_edge(b, d);
 
   for (const auto policy : {sched::OrderPolicy::kRankPriority, sched::OrderPolicy::kFifo}) {
-    SimOptions reference_options;
-    reference_options.policy = policy;
-    reference_options.impl = SimImpl::kReference;
-    SimOptions data_options = reference_options;
-    data_options.impl = SimImpl::kDataOriented;
+    SimOptions options;
+    options.policy = policy;
     // Equal priorities everywhere: only the pinned tiebreaks order the work.
     const std::vector<double> priorities(static_cast<size_t>(g.node_count()), 1.0);
-    const auto reference = Simulator(reference_options).run_with_priorities(g, priorities);
-    const auto data = Simulator(data_options).run_with_priorities(g, priorities);
+    const auto reference = heterog::testing::reference_run(g, priorities, options);
+    const auto data = Simulator(options).run_with_priorities(g, priorities);
 
     // a and b complete at the same time; a (lower node id) drains first, so c
     // becomes ready before d and wins the sequence tiebreak on device 2.
@@ -333,21 +331,19 @@ TEST(SchedulingOrder, EqualTimeCompletionsScheduleIdenticallyOnBothImpls) {
   }
 }
 
-// A NaN priority would break the ready queues' strict total order; both
-// entry points must reject it up front rather than corrupt a heap.
+// A NaN priority would break the ready queues' strict total order; the
+// simulator and the reference must both reject it up front rather than
+// corrupt a heap.
 TEST(SchedulingOrder, NanPriorityRejected) {
   DistGraph g(1);
   add_compute(g, "a", 0, 1.0);
   const std::vector<double> priorities{std::numeric_limits<double>::quiet_NaN()};
-  for (const auto impl : {SimImpl::kReference, SimImpl::kDataOriented}) {
-    SimOptions options;
-    options.impl = impl;
-    EXPECT_THROW(Simulator(options).run_with_priorities(g, priorities), CheckError);
-  }
+  EXPECT_THROW(heterog::testing::reference_run(g, priorities), CheckError);
+  EXPECT_THROW(Simulator().run_with_priorities(g, priorities), CheckError);
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler invariants pinned on BOTH implementations (the transition wall):
+// Scheduler invariants pinned on the simulator AND the test-side reference:
 // whatever the plan, no resource ever runs two units of work at once and the
 // makespan can never beat the critical path.
 
@@ -366,11 +362,10 @@ TEST(SchedulerInvariants, NonOverlapAndCriticalPathHoldOnBothImpls) {
     double critical_path = 0.0;
     for (const double r : ranks) critical_path = std::max(critical_path, r);
 
-    for (const auto impl : {SimImpl::kReference, SimImpl::kDataOriented}) {
-      SCOPED_TRACE(impl == SimImpl::kReference ? "reference" : "data-oriented");
-      SimOptions options;
-      options.impl = impl;
-      const auto result = Simulator(options).run(compiled.graph);
+    for (const bool reference : {true, false}) {
+      SCOPED_TRACE(reference ? "reference" : "data-oriented");
+      const auto result = reference ? heterog::testing::reference_run(compiled.graph)
+                                    : Simulator().run(compiled.graph);
 
       EXPECT_GE(result.makespan_ms + 1e-6, critical_path);
 
