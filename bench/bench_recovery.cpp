@@ -1,12 +1,17 @@
-// Recovery bench: online health monitoring vs the PR-1 oracle path.
+// Recovery bench: DistRunner's monitor detector vs its oracle detector.
 //
 // Three fault mixes are driven through DistRunner twice — once with the
-// oracle recovery path (the runner is told the fault plan's verdicts) and
-// once with the online HealthMonitor (the runner sees only per-attempt
-// measurements). Reported per mix: detection latency in steps from fault
-// onset to the monitor's verdict, and the total-time overhead the
-// measurement-only path pays over the oracle (heartbeat timeouts spent
-// confirming failures; per-step times themselves have parity).
+// oracle detector (the step loop reads the fault plan's verdicts) and once
+// with the monitor detector (the loop sees only per-attempt measurements,
+// through a HealthMonitor). Reported per mix: detection latency in steps
+// from fault onset to the monitor's verdict, and the total-time overhead
+// the measurement-only detector pays over the oracle (heartbeat timeouts
+// spent confirming failures).
+//
+// Parity gate: on each hand-written mix the two detectors must agree
+// exactly — bitwise-equal per-step times, recoveries at the same fault
+// steps, equal retry counts and backoff, and totals that differ by the
+// detection overhead alone (within 1e-6 ms). The bench exits 1 otherwise.
 //
 // deterministic_wall_times is on, so both columns are bit-stable run to run
 // and the overhead column isolates detection cost from replan wall time.
@@ -16,6 +21,8 @@
 // and the full scenario shape land in the HETEROG_BENCH_JSON "config" block
 // so any perf trajectory is attributable to a reproducible schedule.
 #include "bench_util.h"
+
+#include <cmath>
 
 #include "core/heterog.h"
 #include "faults/chaos.h"
@@ -85,6 +92,27 @@ RunStats run_mix(const faults::FaultPlan& plan, bool online) {
   return runner.run(kSteps, plan);
 }
 
+/// Why the two detectors disagree on a mix; empty when they have parity.
+std::string parity_violation(const RunStats& oracle, const RunStats& online) {
+  const auto fault_steps = [](const RunStats& s) {
+    std::vector<int> steps;
+    for (const RecoveryReport& r : s.recoveries) steps.push_back(r.fault_step);
+    return steps;
+  };
+  if (online.step_ms != oracle.step_ms) return "per-step times differ";
+  if (fault_steps(online) != fault_steps(oracle)) {
+    return "recoveries happen at different steps";
+  }
+  if (online.transient_retries != oracle.transient_retries ||
+      online.retry_backoff_total_ms != oracle.retry_backoff_total_ms) {
+    return "retries or backoff differ";
+  }
+  if (std::abs(online.total_ms - oracle.total_ms - online.detection_overhead_ms) > 1e-6) {
+    return "totals differ by more than the detection overhead";
+  }
+  return "";
+}
+
 }  // namespace
 
 int main() {
@@ -107,6 +135,7 @@ int main() {
   mixes[2].plan.events = {transient(2, 3, 2), straggler(0, 3.0, 8, 18),
                           link_degradation(0, 3, 0.5, 4, 12),
                           device_failure(1, 15)};
+  const size_t hand_written = mixes.size();  // the mixes the parity gate covers
 
   // HETEROG_CHAOS_SEED adds a seed-generated schedule as a fourth mix; the
   // same seed always reproduces the same schedule (chaos.h pins this).
@@ -122,12 +151,23 @@ int main() {
     mixes.push_back(std::move(chaos_mix));
   }
 
+  int violations = 0;
+
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
   TextTable table({"Mix", "Oracle (ms)", "Online (ms)", "Overhead (ms / %)",
                    "Detect (steps)", "Detections", "Quarantines"});
-  for (const Mix& mix : mixes) {
+  for (size_t m = 0; m < mixes.size(); ++m) {
+    const Mix& mix = mixes[m];
     const RunStats oracle = run_mix(mix.plan, /*online=*/false);
     const RunStats online = run_mix(mix.plan, /*online=*/true);
+    if (m < hand_written) {
+      const std::string violation = parity_violation(oracle, online);
+      if (!violation.empty()) {
+        std::fprintf(stderr, "parity violation on mix %s: %s\n", mix.label.c_str(),
+                     violation.c_str());
+        ++violations;
+      }
+    }
 
     // Detection latency: steps from the first anomalous observation to the
     // monitor's verdict, averaged over every detection of the mix.
@@ -182,5 +222,11 @@ int main() {
   scenario += "]";
   config.emplace_back("scenarios", scenario);
   write_bench_json("recovery", config);
+  if (violations > 0) {
+    std::fprintf(stderr, "FAIL: %d mix(es) broke oracle/monitor parity\n", violations);
+    return 1;
+  }
+  std::printf("parity: oracle and monitor detectors agree on all %zu hand-written mixes\n",
+              hand_written);
   return 0;
 }

@@ -41,20 +41,23 @@ class JournalError : public std::runtime_error {
 };
 
 /// One completed recovery from a permanent device failure, as persisted in
-/// the journal (mirror of heterog::RecoveryReport; ckpt sits below core in
-/// the dependency order so it keeps its own struct).
+/// the journal. heterog::RecoveryReport extends it with in-memory
+/// diagnostics; ckpt sits below core in the dependency order, so the
+/// journalled fields live here.
 struct RecoveryRecord {
-  int fault_step = -1;
+  int fault_step = -1;  // step that was in flight when the failure hit
+  /// Failed device ids, in the id space of the cluster active at fault time
+  /// (equal to the original ids until a previous recovery re-densified them).
   std::vector<cluster::DeviceId> failed_devices;
-  int steps_lost = 0;
-  double replan_wall_ms = 0.0;
+  int steps_lost = 0;           // in-flight steps re-executed after the re-plan
+  double replan_wall_ms = 0.0;  // wall-clock spent re-planning
   double pre_fault_iteration_ms = 0.0;
   double post_fault_iteration_ms = 0.0;
   int surviving_devices = 0;
   bool post_plan_oom = false;
-  bool escalated_transient = false;
-  /// Online-detection runs only: failed attempts spent confirming the
-  /// failure (0 on the oracle path, which detects by plan lookup).
+  bool escalated_transient = false;  // failure came from exhausted retries
+  /// Monitor detector only: failed attempts spent confirming the failure
+  /// (0 for the oracle detector, which reads failures off the fault plan).
   int detection_attempts = 0;
   /// The re-plan was degraded to the heuristic path (circuit breaker open or
   /// re-plan deadline exceeded).

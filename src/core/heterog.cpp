@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <map>
 #include <numeric>
+#include <optional>
 
 #include "common/check.h"
 #include "common/crc32.h"
@@ -112,21 +112,557 @@ std::vector<int> survivor_id_map(int device_count,
   return map;
 }
 
-ckpt::RecoveryRecord to_record(const RecoveryReport& report) {
-  ckpt::RecoveryRecord record;
-  record.fault_step = report.fault_step;
-  record.failed_devices = report.failed_devices;
-  record.steps_lost = report.steps_lost;
-  record.replan_wall_ms = report.replan_wall_ms;
-  record.pre_fault_iteration_ms = report.pre_fault_iteration_ms;
-  record.post_fault_iteration_ms = report.post_fault_iteration_ms;
-  record.surviving_devices = report.surviving_devices;
-  record.post_plan_oom = report.post_plan_oom;
-  record.escalated_transient = report.escalated_transient;
-  record.detection_attempts = report.detection_attempts;
-  record.degraded = report.degraded;
-  return record;
+using Clock = std::chrono::steady_clock;
+
+/// Owns a run's RunStats, its checkpoint journal and every run_* event (plus
+/// degraded_replan and domain_replan), for run_impl and the fault-free fast
+/// path alike. While `live` is false — steps a resumed run replays up to its
+/// watermark — the per-step calls charge, journal, emit and log nothing;
+/// only stats.oom still follows every re-plan.
+class RunRecorder {
+ public:
+  /// Sets up the journal (a resumed run extends `prior`'s) and emits run_start.
+  RunRecorder(const DistRunner& runner, const HeteroGConfig& config,
+              const faults::FaultPlan& plan, const ckpt::CheckpointOptions& copts,
+              const ckpt::RunJournal* prior, int steps, int start_step);
+
+  RunStats stats;
+  bool live = true;  // false while replaying steps before the watermark
+
+  /// Wall time since `t0`, or zero under deterministic_wall_times.
+  double wall_ms_since(Clock::time_point t0) const {
+    return det_walls_ ? 0.0
+                      : std::chrono::duration<double, std::milli>(Clock::now() - t0)
+                            .count();
+  }
+
+  /// Cooperative shutdown (SIGTERM/SIGINT routed through common/shutdown):
+  /// true at a live step boundary once a stop was requested — never mid-step,
+  /// never during replay — so the final snapshot leaves a resumable journal.
+  bool shutdown(int step) {
+    if (!live || !shutdown_requested()) return false;
+    stats.interrupted = true;
+    stats.completed = false;
+    log_info() << "DistRunner: shutdown requested — stopping at step " << step
+               << " with state flushed";
+    return true;
+  }
+
+  /// `retries` failed attempts that cost `backoff_ms`; the run_retry event
+  /// reports the device's `attempts` so far.
+  void retry(int step, int device, int attempts, double backoff_ms, int retries) {
+    if (!live) return;
+    stats.transient_retries += retries;
+    stats.retry_backoff_total_ms += backoff_ms;
+    if (events_ != nullptr) {
+      events_->emit(obs::Event("run_retry")
+                        .with("step", step)
+                        .with("device", device)
+                        .with("attempts", attempts)
+                        .with("backoff_ms", backoff_ms));
+    }
+  }
+
+  void escalation(int step, int device, int retries) const {
+    if (!live) return;
+    log_info() << "DistRunner: G" << device << " still failing after " << retries
+               << " retries at step " << step << " — escalating to failure";
+  }
+
+  void detection_overhead(double ms) {
+    if (live) stats.detection_overhead_ms += ms;
+  }
+
+  /// Charges one executed step.
+  void step(int step, double ms) {
+    if (!live) return;
+    stats.step_ms.push_back(ms);
+    stats.total_ms += ms;
+    if (copts_.enabled()) journal_.step_ms.push_back(ms);
+    step_event(step, ms);
+  }
+
+  void step_event(int step, double ms) {
+    if (events_ != nullptr) {
+      events_->emit(obs::Event("run_step").with("step", step).with("step_ms", ms));
+    }
+  }
+
+  /// A failure re-plan: run_recovery, then degraded_replan when `degraded`
+  /// names why RL was skipped, then one domain_replan per attributed rack.
+  void recovery(const RecoveryReport& report, const char* degraded,
+                const std::vector<int>& racks);
+
+  void degraded_replan(int step, const char* reason, int devices, bool replan) {
+    if (!live || events_ == nullptr) return;
+    events_->emit(obs::Event("degraded_replan")
+                      .with("step", step)
+                      .with("reason", reason)
+                      .with("devices", devices)
+                      .with("replan", replan));
+  }
+
+  /// Mid-run snapshots are anchored at absolute step counts, so an
+  /// interrupted and an uninterrupted run checkpoint at the same steps.
+  bool checkpoint_due(int completed_steps, int steps) const {
+    return live && copts_.enabled() && completed_steps % copts_.every == 0 &&
+           completed_steps < steps;
+  }
+
+  /// Saves the journal at `completed_steps` with the detector's state, emits
+  /// run_checkpoint and, when the save succeeded, calls after_checkpoint.
+  void snapshot(int completed_steps, const std::string& health_state);
+
+  /// Ends a run_impl run: charges backoff and detection overhead, writes the
+  /// final snapshot (run end, or the step recovery died at) and run_end.
+  RunStats finish(int step, const std::string& health_state) {
+    stats.total_ms += stats.retry_backoff_total_ms + stats.detection_overhead_ms;
+    const int executed = static_cast<int>(stats.step_ms.size());
+    stats.per_iteration_ms = executed > 0 ? stats.total_ms / executed : 0.0;
+    snapshot(step, health_state);
+    return end(executed);
+  }
+
+  /// Emits run_end, always a run's last event, and hands the stats over.
+  RunStats end(int steps_executed) {
+    if (events_ != nullptr) {
+      events_->emit(obs::Event("run_end")
+                        .with("steps_executed", steps_executed)
+                        .with("total_ms", stats.total_ms)
+                        .with("per_iteration_ms", stats.per_iteration_ms)
+                        .with("transient_retries", stats.transient_retries)
+                        .with("retry_backoff_ms", stats.retry_backoff_total_ms)
+                        .with("recoveries", static_cast<int>(stats.recoveries.size()))
+                        .with("completed", stats.completed)
+                        .with("interrupted", stats.interrupted));
+    }
+    return std::move(stats);
+  }
+
+ private:
+  obs::EventLog* events_;  // null when no sink is attached or it failed to open
+  const ckpt::CheckpointOptions copts_;
+  const bool det_walls_;
+  const int prior_retries_;
+  const double prior_backoff_;
+  ckpt::RunJournal journal_;
+};
+
+RunRecorder::RunRecorder(const DistRunner& runner, const HeteroGConfig& config,
+                         const faults::FaultPlan& plan,
+                         const ckpt::CheckpointOptions& copts,
+                         const ckpt::RunJournal* prior, int steps, int start_step)
+    : events_(config.events != nullptr && config.events->ok() ? config.events : nullptr),
+      copts_(copts),
+      det_walls_(config.fault_handling.deterministic_wall_times),
+      prior_retries_(prior ? prior->transient_retries : 0),
+      prior_backoff_(prior ? prior->retry_backoff_total_ms : 0.0) {
+  stats.steps = steps - start_step;
+  stats.computation_ms = runner.deployment().computation_ms;
+  stats.communication_ms = runner.deployment().communication_ms;
+  stats.oom = runner.deployment().oom;
+
+  // The journal always describes the run from step 0: a resumed run extends
+  // `prior`'s history, a fresh run starts its own, so a crash during a
+  // resumed run resumes again from a complete record.
+  if (copts.enabled()) {
+    if (prior) {
+      journal_ = *prior;
+    } else {
+      const FaultHandlingConfig& fh = config.fault_handling;
+      journal_.model_name = runner.training_graph().name();
+      journal_.meta = copts.meta;
+      journal_.cluster = runner.cluster();
+      journal_.cluster_crc = cluster::cluster_fingerprint(runner.cluster());
+      journal_.profiler_seed = config.profiler_seed;
+      journal_.use_order_scheduling = config.use_order_scheduling;
+      journal_.max_groups = config.agent.max_groups;
+      journal_.fh_max_retries = fh.max_retries;
+      journal_.fh_retry_backoff_ms = fh.retry_backoff_ms;
+      journal_.fh_max_backoff_ms = fh.max_backoff_ms;
+      journal_.fh_replan_rl_episodes = fh.replan_rl_episodes;
+      journal_.fh_deterministic_walls = det_walls_;
+      journal_.plan_text = strategy::to_text(runner.strategy(), runner.cluster());
+      journal_.grouping_assignment = runner.grouping().assignment();
+      if (!plan.empty()) journal_.fault_plan_json = faults::fault_plan_to_json(plan);
+    }
+    journal_.total_steps = steps;
+    journal_.ckpt_every = copts.every;
+    journal_.watermark = start_step;
+  }
+
+  if (events_ != nullptr) {
+    events_->emit(obs::Event("run_start")
+                      .with("steps", steps)
+                      .with("start_step", start_step)
+                      .with("devices", runner.cluster().device_count())
+                      .with("per_iteration_ms", runner.deployment().per_iteration_ms)
+                      .with("faults", static_cast<int>(plan.events.size()))
+                      .with("checkpointing", copts.enabled()));
+  }
 }
+
+void RunRecorder::recovery(const RecoveryReport& report, const char* degraded,
+                           const std::vector<int>& racks) {
+  stats.oom = stats.oom || report.post_plan_oom;
+  if (!live) return;
+  stats.recoveries.push_back(report);
+  if (copts_.enabled()) journal_.recoveries.push_back(report);
+  const int failed = static_cast<int>(report.failed_devices.size());
+  if (events_ != nullptr) {
+    events_->emit(obs::Event("run_recovery")
+                      .with("step", report.fault_step)
+                      .with("failed_devices", failed)
+                      .with("steps_lost", report.steps_lost)
+                      .with("replan_wall_ms", report.replan_wall_ms)
+                      .with("pre_fault_iteration_ms", report.pre_fault_iteration_ms)
+                      .with("post_fault_iteration_ms", report.post_fault_iteration_ms)
+                      .with("surviving_devices", report.surviving_devices)
+                      .with("post_plan_oom", report.post_plan_oom)
+                      .with("escalated_transient", report.escalated_transient));
+    if (degraded != nullptr) degraded_replan(report.fault_step, degraded, failed, true);
+    for (const int rack : racks) {
+      events_->emit(obs::Event("domain_replan")
+                        .with("step", report.fault_step)
+                        .with("rack", rack)
+                        .with("devices", failed)
+                        .with("surviving_devices", report.surviving_devices)
+                        .with("degraded", report.degraded));
+    }
+  }
+  log_info() << "DistRunner: re-planned around the failure of " << failed
+             << " device(s) at step " << report.fault_step << " after "
+             << report.detection_attempts << " detection attempt(s) in "
+             << report.replan_wall_ms << " ms; plan " << report.pre_fault_iteration_ms
+             << " -> " << report.post_fault_iteration_ms << " ms/iteration on "
+             << report.surviving_devices << " survivors"
+             << (report.degraded ? " (degraded re-plan)" : "");
+}
+
+void RunRecorder::snapshot(int completed_steps, const std::string& health_state) {
+  if (!copts_.enabled()) return;
+  journal_.watermark = completed_steps;
+  journal_.transient_retries = prior_retries_ + stats.transient_retries;
+  journal_.retry_backoff_total_ms = prior_backoff_ + stats.retry_backoff_total_ms;
+  journal_.health_state = health_state;
+  const std::string path = copts_.journal_path();
+  const auto t0 = Clock::now();
+  const bool saved = ckpt::save_journal(path, journal_);
+  if (events_ != nullptr) {
+    events_->emit(obs::Event("run_checkpoint")
+                      .with("step", completed_steps)
+                      .with("wall_ms", wall_ms_since(t0))
+                      .with("path", path)
+                      .with("ok", saved));
+  }
+  if (!saved) {
+    log_info() << "DistRunner: failed to write checkpoint journal to " << path
+               << " — continuing without this snapshot";
+  } else if (copts_.after_checkpoint) {
+    copts_.after_checkpoint(completed_steps, path);
+  }
+}
+
+/// The deployment run_impl's step loop is executing; every re-plan replaces it.
+struct ActiveDeployment {
+  cluster::ClusterSpec cluster;
+  double iter_ms = 0.0;
+  double cold_ms = 0.0;
+};
+
+/// How one step ended, as its detector saw it.
+struct StepOutcome {
+  bool completed = false;
+  /// Measured makespan of the completed step; empty when it costs exactly
+  /// the active iteration time (a fault-free or replayed oracle step).
+  std::optional<double> makespan_ms;
+  /// Devices to re-plan around (sorted, ids of the active cluster).
+  std::vector<cluster::DeviceId> failed;
+  bool escalated = false;      // a transient outlived its retries
+  int detection_attempts = 0;  // failed attempts spent confirming `failed`
+  /// Why the failure re-plan skips RL; null when it does not.
+  const char* degraded = nullptr;
+};
+
+/// A straggler re-plan: the believed cluster to choose on and how many
+/// quarantined devices it derates.
+struct StragglerReplan {
+  cluster::ClusterSpec derated;
+  int devices = 0;
+};
+
+/// Where run_impl's step loop gets each step's outcome from. The loop owns
+/// the deployment and every change to it; a detector only reports what it
+/// saw and hears about each re-plan, so the loop never asks which one it
+/// runs.
+class Detector {
+ public:
+  Detector() = default;
+  Detector(const Detector&) = delete;
+  Detector& operator=(const Detector&) = delete;
+  virtual ~Detector() = default;
+  /// Runs `step` until it completes or a failure is confirmed. Retries are
+  /// charged through `rec`.
+  virtual StepOutcome attempt(int step, const ActiveDeployment& active,
+                              RunRecorder& rec) = 0;
+  /// After a step with no failure: a straggler re-plan to deploy, if any.
+  virtual std::optional<StragglerReplan> stragglers(int /*step*/,
+                                                    const ActiveDeployment& /*active*/,
+                                                    RunRecorder& /*rec*/) {
+    return std::nullopt;
+  }
+  /// A re-plan was deployed at `step` (`live` unless replayed); device d is
+  /// now new_id_of[d], -1 = removed. Returns the racks a failure batch was
+  /// attributed to.
+  virtual std::vector<int> replanned(int /*step*/, bool /*live*/,
+                                     const std::vector<int>& /*new_id_of*/) {
+    return {};
+  }
+  /// Detector state a checkpoint journals (RunJournal::health_state).
+  virtual std::string serialize() const { return {}; }
+  /// RunStats::health, read once at run end.
+  virtual health::HealthSummary summary() { return {}; }
+};
+
+/// The oracle: reads each step's faults from the plan through the injector —
+/// the reference the monitor is measured against. It knows every
+/// transient's attempt count up front (one run_retry per step and transient
+/// event), treats isolation as failure, never re-admits a device and
+/// reports no stragglers.
+class OracleDetector final : public Detector {
+ public:
+  OracleDetector(sim::FaultInjector& injector, const FaultHandlingConfig& fh)
+      : injector_(injector), fh_(fh) {}
+
+  StepOutcome attempt(int step, const ActiveDeployment& active,
+                      RunRecorder& rec) override {
+    StepOutcome out;
+    // Transients first, with capped exponential backoff; one still failing
+    // at the retry cap escalates to a failure. They count as done before any
+    // re-plan, so re-executing the step does not retry them again.
+    if (step > transients_done_through_) {
+      for (const faults::FaultEvent& event : injector_.oracle_plan().events) {
+        if (event.kind != faults::FaultKind::kTransient || event.onset_step != step) {
+          continue;
+        }
+        int attempts = 0;
+        double backoff = fh_.retry_backoff_ms;
+        double spent_ms = 0.0;
+        while (attempts < event.failed_attempts && attempts < fh_.max_retries) {
+          spent_ms += backoff;
+          backoff = std::min(backoff * 2.0, fh_.max_backoff_ms);
+          ++attempts;
+        }
+        if (attempts > 0) rec.retry(step, event.device, attempts, spent_ms, attempts);
+        if (attempts < event.failed_attempts) {
+          rec.escalation(step, event.device, attempts);
+          out.failed.push_back(event.device);
+          out.escalated = true;
+        }
+      }
+      transients_done_through_ = step;
+    }
+
+    const faults::FaultScaling scaling =
+        faults::scaling_at(injector_.oracle_plan(), active.cluster, step);
+    out.failed.insert(out.failed.end(), scaling.failed.begin(), scaling.failed.end());
+    out.failed.insert(out.failed.end(), scaling.isolated.begin(),
+                      scaling.isolated.end());
+    std::sort(out.failed.begin(), out.failed.end());
+    out.failed.erase(std::unique(out.failed.begin(), out.failed.end()), out.failed.end());
+    out.completed = out.failed.empty();
+    if (out.completed && rec.live && scaling.any()) {
+      out.makespan_ms = injector_.measure(scaling).makespan_ms;
+    }
+    return out;
+  }
+
+ private:
+  sim::FaultInjector& injector_;
+  const FaultHandlingConfig& fh_;
+  int transients_done_through_ = -1;
+};
+
+/// The monitor: sees only the injector's per-attempt observations, through
+/// a health::HealthMonitor — never the fault plan. It learns about retries
+/// one failed attempt at a time (one run_retry each), confirms failures from
+/// missed heartbeats, and turns quarantined stragglers into re-plans.
+class MonitorDetector final : public Detector {
+ public:
+  MonitorDetector(sim::FaultInjector& injector, const HeteroGConfig& config,
+                  const cluster::ClusterSpec& cluster, const ckpt::RunJournal* prior)
+      : injector_(injector),
+        fh_(config.fault_handling),
+        policy_(config.health),
+        monitor_(cluster.device_count(), config.health, config.events),
+        straggler_handled_(static_cast<size_t>(cluster.device_count()), 0),
+        prior_(prior) {
+    if (cluster.has_topology()) {
+      // Rack ids let the monitor attribute coincident same-rack failures to
+      // a domain event — still measurement-only: the map describes where
+      // devices live, not what faults are scheduled.
+      const cluster::TopologySpec& topo = cluster.topology();
+      std::vector<int> racks(static_cast<size_t>(cluster.device_count()), -1);
+      for (const auto& d : cluster.devices()) {
+        racks[static_cast<size_t>(d.id)] = topo.rack_of_host[static_cast<size_t>(d.host)];
+      }
+      monitor_.set_rack_map(std::move(racks));
+    }
+  }
+
+  StepOutcome attempt(int step, const ActiveDeployment& active,
+                      RunRecorder& rec) override {
+    if (rec.live) check_replay();
+    // Attempt the step until it completes, a permanent failure is confirmed
+    // (phi accrual over missed heartbeats) or a persistently erroring device
+    // is escalated. Transients count as done only once the step completes.
+    const bool transients_active = step > transients_done_through_;
+    const size_t devices = static_cast<size_t>(active.cluster.device_count());
+    std::vector<int> errors(devices, 0);
+    std::vector<double> backoff(devices, fh_.retry_backoff_ms);
+    StepOutcome out;
+    for (int attempt = 0;; ++attempt) {
+      check(attempt < 100000, "DistRunner: monitor detection failed to terminate");
+      const health::Observation obs =
+          injector_.attempt_step(step, attempt, transients_active);
+      monitor_.observe(obs, rec.live);
+      if (!obs.completed && obs.error_device < 0) {
+        // Timed-out attempt: waiting out the heartbeat interval is detection
+        // overhead, and each timeout draws from the retry budget so
+        // detection terminates even when phi accrues slowly.
+        rec.detection_overhead(policy_.heartbeat_timeout_ms);
+        monitor_.charge_retry();
+      }
+      out.failed = monitor_.take_confirmed_failures();
+      out.detection_attempts = attempt + 1;
+      if (obs.completed) {
+        out.completed = true;
+        out.makespan_ms = obs.makespan_ms;
+        transients_done_through_ = std::max(transients_done_through_, step);
+      }
+      if (obs.completed || !out.failed.empty()) break;
+      if (obs.error_device < 0) continue;
+      const size_t d = static_cast<size_t>(obs.error_device);
+      const int n = ++errors[d];
+      if (n > fh_.max_retries || !monitor_.charge_retry()) {
+        rec.escalation(step, obs.error_device, n - 1);
+        monitor_.force_failure(obs.error_device, step, "error");
+        out.failed = monitor_.take_confirmed_failures();
+        out.escalated = true;
+        break;
+      }
+      rec.retry(step, obs.error_device, n, backoff[d], 1);
+      backoff[d] = std::min(backoff[d] * 2.0, fh_.max_backoff_ms);
+    }
+    // A failure re-plan is mandatory; an open breaker or a blown deadline
+    // only degrades it to the heuristic path.
+    if (!out.failed.empty() && fh_.replan_rl_episodes > 0) {
+      if (monitor_.breaker_open()) {
+        out.degraded = "breaker_open";
+      } else if (policy_.replan_deadline_ms > 0.0 &&
+                 fh_.replan_rl_episodes * active.iter_ms > policy_.replan_deadline_ms) {
+        out.degraded = "deadline";
+      }
+    }
+    return out;
+  }
+
+  std::optional<StragglerReplan> stragglers(int step, const ActiveDeployment& active,
+                                            RunRecorder& rec) override {
+    // Devices quarantined while observing this step. Each quarantine episode
+    // is handled once; a reinstated device becomes reactive again.
+    std::vector<int> quarantined;
+    for (int d = 0; d < active.cluster.device_count(); ++d) {
+      const health::DeviceState state = monitor_.state(d);
+      if (state == health::DeviceState::kQuarantined &&
+          !straggler_handled_[static_cast<size_t>(d)]) {
+        quarantined.push_back(d);
+        straggler_handled_[static_cast<size_t>(d)] = 1;
+      } else if (state == health::DeviceState::kHealthy) {
+        straggler_handled_[static_cast<size_t>(d)] = 0;
+      }
+    }
+    if (quarantined.empty() || !policy_.replan_on_straggler) return std::nullopt;
+    const int count = static_cast<int>(quarantined.size());
+    if (monitor_.breaker_open()) {
+      // Keep the plan and absorb the slowdown (derate in place) rather than
+      // pile more re-plans on a run that is already thrashing.
+      rec.degraded_replan(step, "derate_in_place", count, false);
+      return std::nullopt;
+    }
+    // Re-plan against the *believed* cluster: the quarantined devices
+    // derated by their measured slowdown estimates.
+    faults::FaultScaling believed;
+    believed.step = step;
+    believed.compute_slowdown.assign(static_cast<size_t>(active.cluster.device_count()),
+                                     1.0);
+    for (const int d : quarantined) {
+      believed.compute_slowdown[static_cast<size_t>(d)] =
+          std::max(1.0, monitor_.estimated_slowdown(d));
+    }
+    return StragglerReplan{faults::degraded_cluster(active.cluster, believed), count};
+  }
+
+  std::vector<int> replanned(int step, bool live,
+                             const std::vector<int>& new_id_of) override {
+    monitor_.record_replan(step, live);
+    // Taken before on_replan clears them. A domain verdict put the whole rack
+    // into one failure batch: one re-plan, not one per member.
+    std::vector<int> racks = monitor_.take_domain_verdicts();
+    monitor_.on_replan(new_id_of);
+    std::vector<uint8_t> handled(
+        static_cast<size_t>(std::count_if(new_id_of.begin(), new_id_of.end(),
+                                          [](int id) { return id >= 0; })),
+        0);
+    for (size_t d = 0; d < straggler_handled_.size(); ++d) {
+      if (new_id_of[d] >= 0) {
+        handled[static_cast<size_t>(new_id_of[d])] = straggler_handled_[d];
+      }
+    }
+    straggler_handled_ = std::move(handled);
+    return racks;
+  }
+
+  std::string serialize() const override { return monitor_.serialize(); }
+
+  /// The policy a journalled serialize() was written under.
+  static health::HealthPolicy journalled_policy(const std::string& health_state) {
+    try {
+      return health::HealthMonitor::deserialize(health_state).policy();
+    } catch (const health::HealthError& e) {
+      throw ckpt::JournalError(
+          std::string("resume_run: embedded health state invalid: ") + e.what());
+    }
+  }
+
+  health::HealthSummary summary() override {
+    check_replay();  // a run with no live step has not checked yet
+    return monitor_.summary();
+  }
+
+ private:
+  /// Resume determinism proof: at the first live step the monitor rebuilt
+  /// by replay must match the journalled snapshot byte for byte.
+  void check_replay() {
+    if (replay_checked_) return;
+    replay_checked_ = true;
+    if (prior_ != nullptr && !prior_->health_state.empty() &&
+        monitor_.serialize() != prior_->health_state) {
+      throw ckpt::JournalError(
+          "resume_run: replayed health monitor state diverges from the journal "
+          "snapshot — the journal was written by a different policy or code version");
+    }
+  }
+
+  sim::FaultInjector& injector_;
+  const FaultHandlingConfig& fh_;
+  const health::HealthPolicy& policy_;
+  health::HealthMonitor monitor_;
+  std::vector<uint8_t> straggler_handled_;
+  const ckpt::RunJournal* prior_;
+  int transients_done_through_ = -1;
+  bool replay_checked_ = false;
+};
 
 }  // namespace
 
@@ -160,39 +696,14 @@ void emit_schedule_events(obs::EventLog* events, const sim::PlanEvaluation& eval
 
 RunStats DistRunner::run(int steps) const {
   check(steps >= 0, "DistRunner::run: negative steps");
-  RunStats stats;
-  stats.steps = steps;
-  stats.per_iteration_ms = deployment_.per_iteration_ms;
-  stats.total_ms = deployment_.per_iteration_ms * steps;
-  stats.computation_ms = deployment_.computation_ms;
-  stats.communication_ms = deployment_.communication_ms;
-  stats.oom = deployment_.oom;
-  if (config_.events != nullptr && config_.events->ok()) {
-    obs::EventLog& events = *config_.events;
-    events.emit(obs::Event("run_start")
-                    .with("steps", steps)
-                    .with("start_step", 0)
-                    .with("devices", cluster_.device_count())
-                    .with("per_iteration_ms", stats.per_iteration_ms)
-                    .with("faults", 0)
-                    .with("checkpointing", false));
-    // The fast path never simulates individual steps; every step costs the
-    // steady-state per-iteration time.
-    for (int s = 0; s < steps; ++s) {
-      events.emit(obs::Event("run_step")
-                      .with("step", s)
-                      .with("step_ms", stats.per_iteration_ms));
-    }
-    events.emit(obs::Event("run_end")
-                    .with("steps_executed", steps)
-                    .with("total_ms", stats.total_ms)
-                    .with("per_iteration_ms", stats.per_iteration_ms)
-                    .with("transient_retries", 0)
-                    .with("retry_backoff_ms", 0.0)
-                    .with("recoveries", 0)
-                    .with("completed", true));
-  }
-  return stats;
+  RunRecorder rec(*this, config_, faults::FaultPlan{}, ckpt::CheckpointOptions{}, nullptr,
+                  steps, 0);
+  // The fast path never simulates individual steps; every step costs the
+  // steady-state per-iteration time.
+  rec.stats.per_iteration_ms = deployment_.per_iteration_ms;
+  rec.stats.total_ms = deployment_.per_iteration_ms * steps;
+  for (int s = 0; s < steps; ++s) rec.step_event(s, deployment_.per_iteration_ms);
+  return rec.end(steps);
 }
 
 RunStats DistRunner::run(int steps, const faults::FaultPlan& plan) const {
@@ -217,616 +728,116 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
   check(start_step >= 0 && start_step <= steps, "DistRunner::run: bad start step");
   if (!plan.empty()) plan.validate(cluster_);
 
-  RunStats stats;
-  stats.steps = steps - start_step;
-  stats.computation_ms = deployment_.computation_ms;
-  stats.communication_ms = deployment_.communication_ms;
-  stats.oom = deployment_.oom;
-  stats.step_ms.reserve(static_cast<size_t>(steps - start_step));
-
-  const FaultHandlingConfig& fh = config_.fault_handling;
-  const health::HealthPolicy& hp = config_.health;
-  // Online = reaction from measurements only (health monitor); off = the
-  // PR-1 oracle path that reads the injected plan directly.
-  const bool online = hp.enabled;
-  const bool det_walls = fh.deterministic_wall_times;
-
-  std::unique_ptr<health::HealthMonitor> monitor;
-  if (online) {
-    monitor = std::make_unique<health::HealthMonitor>(cluster_.device_count(), hp,
-                                                      config_.events);
-    if (cluster_.has_topology()) {
-      // Rack ids let the monitor attribute coincident same-rack failures to
-      // a domain event — still measurement-only: the map describes where
-      // devices live, not what faults are scheduled.
-      const cluster::TopologySpec& topo = cluster_.topology();
-      std::vector<int> racks(static_cast<size_t>(cluster_.device_count()), -1);
-      for (const auto& d : cluster_.devices()) {
-        racks[static_cast<size_t>(d.id)] =
-            topo.rack_of_host[static_cast<size_t>(d.host)];
-      }
-      monitor->set_rack_map(std::move(racks));
-    }
-  }
-
-  // Journal bookkeeping. The journal always describes the run from step 0:
-  // a resumed run extends `prior`'s history, a fresh run starts its own, so
-  // a crash during a resumed run resumes again from a complete record.
-  const bool ckpt_on = copts.enabled();
-  ckpt::RunJournal journal;
-  if (ckpt_on) {
-    if (prior) {
-      journal = *prior;
-    } else {
-      journal.model_name = training_graph_.name();
-      journal.meta = copts.meta;
-      journal.cluster = cluster_;
-      journal.cluster_crc = cluster::cluster_fingerprint(cluster_);
-      journal.profiler_seed = config_.profiler_seed;
-      journal.use_order_scheduling = config_.use_order_scheduling;
-      journal.max_groups = config_.agent.max_groups;
-      journal.fh_max_retries = fh.max_retries;
-      journal.fh_retry_backoff_ms = fh.retry_backoff_ms;
-      journal.fh_max_backoff_ms = fh.max_backoff_ms;
-      journal.fh_replan_rl_episodes = fh.replan_rl_episodes;
-      journal.fh_deterministic_walls = det_walls;
-      journal.plan_text = strategy::to_text(strategy_, cluster_);
-      journal.grouping_assignment = grouping_.assignment();
-      if (!plan.empty()) journal.fault_plan_json = faults::fault_plan_to_json(plan);
-    }
-    journal.total_steps = steps;
-    journal.ckpt_every = copts.every;
-    journal.watermark = start_step;
-  }
-  const int prior_retries = prior ? prior->transient_retries : 0;
-  const double prior_backoff = prior ? prior->retry_backoff_total_ms : 0.0;
-
-  obs::EventLog* events = config_.events;
-  const bool log_events = events != nullptr && events->ok();
-
-  const auto save_snapshot = [&](int completed_steps) {
-    if (!ckpt_on) return;
-    journal.watermark = completed_steps;
-    journal.transient_retries = prior_retries + stats.transient_retries;
-    journal.retry_backoff_total_ms = prior_backoff + stats.retry_backoff_total_ms;
-    if (monitor) journal.health_state = monitor->serialize();
-    const std::string path = copts.journal_path();
-    const auto t0 = std::chrono::steady_clock::now();
-    const bool saved = ckpt::save_journal(path, journal);
-    if (log_events) {
-      const double wall_ms =
-          det_walls ? 0.0
-                    : std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-      events->emit(obs::Event("run_checkpoint")
-                       .with("step", completed_steps)
-                       .with("wall_ms", wall_ms)
-                       .with("path", path)
-                       .with("ok", saved));
-    }
-    if (!saved) {
-      log_info() << "DistRunner: failed to write checkpoint journal to " << path
-                 << " — continuing without this snapshot";
-    } else if (copts.after_checkpoint) {
-      copts.after_checkpoint(completed_steps, path);
-    }
-  };
-
-  if (log_events) {
-    events->emit(obs::Event("run_start")
-                     .with("steps", steps)
-                     .with("start_step", start_step)
-                     .with("devices", cluster_.device_count())
-                     .with("per_iteration_ms", deployment_.per_iteration_ms)
-                     .with("faults", static_cast<int>(plan.events.size()))
-                     .with("checkpointing", ckpt_on));
-  }
-
-  // Mutable execution state; replaced wholesale on every re-plan. The
-  // injector owns the fault plan and the fault-scaled simulations — the
-  // *injection* half of the pipeline. On the oracle path the loop below is
-  // allowed to query it (oracle_scaling / oracle_plan); on the online path
-  // the loop consumes only the health::Observations it hands out.
-  cluster::ClusterSpec active_cluster = cluster_;
-  double active_iter_ms = deployment_.per_iteration_ms;
-  double active_cold_ms = deployment_.cold_iteration_ms;
-
+  // The injector owns the fault plan and the fault-scaled simulations — the
+  // *injection* half of the pipeline; the detector is the only reader.
   sim::SimOptions sim_options;
   sim_options.policy = config_.use_order_scheduling ? sched::OrderPolicy::kRankPriority
                                                     : sched::OrderPolicy::kFifo;
   sim_options.track_memory = false;
   sim::FaultInjector injector(compiled_->graph, cluster_, plan, sim_options);
+  std::unique_ptr<Detector> detector;
+  if (config_.health.enabled) {
+    detector = std::make_unique<MonitorDetector>(injector, config_, cluster_, prior);
+  } else {
+    detector = std::make_unique<OracleDetector>(injector, config_.fault_handling);
+  }
+  RunRecorder rec(*this, config_, plan, copts, prior, steps, start_step);
 
+  ActiveDeployment active{cluster_, deployment_.per_iteration_ms,
+                          deployment_.cold_iteration_ms};
   int step = 0;
-  int transients_done_through = -1;  // avoid double-charging retries when a
-                                     // re-plan re-enters the same step
+  while (step < steps) {
+    // Steps before start_step are replayed: every state transition is
+    // applied so the state at the watermark matches an uninterrupted run's,
+    // but nothing is charged — those steps completed before the crash.
+    rec.live = step >= start_step;
+    if (rec.shutdown(step)) break;
 
-  // Resume determinism proof for online runs: once the replayed prefix
-  // reaches the watermark, the rebuilt monitor must match the journalled
-  // snapshot byte for byte.
-  bool health_checked = false;
-  const auto check_replayed_health = [&] {
-    if (!online || health_checked) return;
-    health_checked = true;
-    if (prior != nullptr && !prior->health_state.empty() &&
-        monitor->serialize() != prior->health_state) {
-      throw ckpt::JournalError(
-          "resume_run: replayed health monitor state diverges from the journal "
-          "snapshot — the journal was written by a different policy or code version");
+    const StepOutcome outcome = detector->attempt(step, active, rec);
+    if (outcome.completed) {
+      // A measured step scales the steady-state time by its makespan over
+      // the deployment's cold makespan (evaluate_plan's pipeline-overlap
+      // correction carries over unchanged).
+      double step_ms = active.iter_ms;
+      if (outcome.makespan_ms) {
+        step_ms = active.cold_ms > 0.0
+                      ? active.iter_ms * *outcome.makespan_ms / active.cold_ms
+                      : *outcome.makespan_ms;
+      }
+      rec.step(step, step_ms);
     }
-  };
 
-  // Cooperative shutdown (SIGTERM/SIGINT routed through common/shutdown):
-  // stop at the next *live* step boundary — never mid-step, never during
-  // replay — so the final save_snapshot below leaves a resumable journal and
-  // the store/event-log flush in the caller runs through destructors.
-  const auto shutdown_poll = [&](bool live) {
-    if (!live || !shutdown_requested()) return false;
-    stats.interrupted = true;
-    stats.completed = false;
-    log_info() << "DistRunner: shutdown requested — stopping at step " << step
-               << " with state flushed";
-    return true;
-  };
-
-  while (!online && step < steps) {
-    // Steps before start_step are replayed: state transitions (escalation,
-    // re-planning, fault-plan remapping) are applied so execution state at
-    // the watermark matches an uninterrupted run's, but nothing is charged
-    // to stats — those steps completed before the crash.
-    const bool live = step >= start_step;
-    if (shutdown_poll(live)) break;
-
-    // Transient faults first: capped exponential backoff. A device still
-    // failing at the retry cap is escalated to a permanent failure below.
-    std::vector<cluster::DeviceId> escalated;
-    for (const auto& event : injector.oracle_plan().events) {
-      if (event.kind != faults::FaultKind::kTransient || event.onset_step != step ||
-          step <= transients_done_through) {
-        continue;
-      }
-      int attempts = 0;
-      double backoff = fh.retry_backoff_ms;
-      double backoff_spent_ms = 0.0;
-      while (attempts < event.failed_attempts && attempts < fh.max_retries) {
-        backoff_spent_ms += backoff;
-        backoff = std::min(backoff * 2.0, fh.max_backoff_ms);
-        ++attempts;
-      }
-      if (live) {
-        stats.retry_backoff_total_ms += backoff_spent_ms;
-        stats.transient_retries += attempts;
-        if (attempts > 0 && log_events) {
-          events->emit(obs::Event("run_retry")
-                           .with("step", step)
-                           .with("device", static_cast<int>(event.device))
-                           .with("attempts", attempts)
-                           .with("backoff_ms", backoff_spent_ms));
-        }
-      }
-      if (attempts < event.failed_attempts) {
-        if (live) {
-          log_info() << "DistRunner: transient fault on G" << event.device
-                     << " still failing after " << attempts
-                     << " retries at step " << step << " — escalating to failure";
-        }
-        escalated.push_back(event.device);
-      }
-    }
-    transients_done_through = std::max(transients_done_through, step);
-
-    faults::FaultScaling scaling = injector.oracle_scaling(step);
-    for (auto d : escalated) scaling.failed.push_back(d);
-    std::sort(scaling.failed.begin(), scaling.failed.end());
-    scaling.failed.erase(std::unique(scaling.failed.begin(), scaling.failed.end()),
-                         scaling.failed.end());
-
-    if (!scaling.failed.empty()) {
-      // Graceful degradation: re-plan on the survivors, resume at `step`.
-      if (static_cast<int>(scaling.failed.size()) >= active_cluster.device_count()) {
+    if (!outcome.failed.empty()) {
+      // Graceful degradation: re-plan on the survivors. An in-flight step is
+      // re-executed under the new plan.
+      if (static_cast<int>(outcome.failed.size()) >= active.cluster.device_count()) {
         log_info() << "DistRunner: all devices failed at step " << step
                    << "; cannot recover";
-        stats.completed = false;
+        rec.stats.completed = false;
         break;
       }
-      const auto t0 = std::chrono::steady_clock::now();
-      cluster::ClusterSpec survivors = active_cluster;
-      for (auto it = scaling.failed.rbegin(); it != scaling.failed.rend(); ++it) {
+      const auto t0 = Clock::now();
+      cluster::ClusterSpec survivors = active.cluster;
+      for (auto it = outcome.failed.rbegin(); it != outcome.failed.rend(); ++it) {
         survivors = survivors.remove_device(*it);
       }
       const Choice choice =
-          choose_plan(training_graph_, survivors, config_, fh.replan_rl_episodes);
+          choose_plan(training_graph_, survivors, config_,
+                      outcome.degraded ? 0 : config_.fault_handling.replan_rl_episodes);
       const Deployment replanned = deploy_plan(training_graph_, survivors, config_,
                                                choice.grouping,
                                                choice.search.best_strategy);
-      const double wall_ms =
-          det_walls ? 0.0
-                    : std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-
       RecoveryReport report;
+      report.replan_wall_ms = rec.wall_ms_since(t0);
       report.fault_step = step;
-      report.failed_devices = scaling.failed;
-      report.steps_lost = 1;  // the in-flight step is re-executed on resume
-      report.replan_wall_ms = wall_ms;
-      report.pre_fault_iteration_ms = active_iter_ms;
+      report.failed_devices = outcome.failed;
+      report.steps_lost = outcome.completed ? 0 : 1;
+      report.pre_fault_iteration_ms = active.iter_ms;
       report.post_fault_iteration_ms = replanned.evaluation.per_iteration_ms;
       report.surviving_devices = survivors.device_count();
       report.post_plan_oom = replanned.evaluation.oom;
-      report.escalated_transient = !escalated.empty();
-      stats.oom = stats.oom || replanned.evaluation.oom;
-      if (live) {
-        stats.recoveries.push_back(report);
-        if (ckpt_on) journal.recoveries.push_back(to_record(report));
-        if (log_events) {
-          events->emit(obs::Event("run_recovery")
-                           .with("step", step)
-                           .with("failed_devices",
-                                 static_cast<int>(scaling.failed.size()))
-                           .with("steps_lost", report.steps_lost)
-                           .with("replan_wall_ms", wall_ms)
-                           .with("pre_fault_iteration_ms",
-                                 report.pre_fault_iteration_ms)
-                           .with("post_fault_iteration_ms",
-                                 report.post_fault_iteration_ms)
-                           .with("surviving_devices", report.surviving_devices)
-                           .with("post_plan_oom", report.post_plan_oom)
-                           .with("escalated_transient", report.escalated_transient));
-        }
-        log_info() << "DistRunner: recovered from failure of " << scaling.failed.size()
-                   << " device(s) at step " << step << " in " << wall_ms
-                   << " ms; plan " << active_iter_ms << " -> "
-                   << replanned.evaluation.per_iteration_ms << " ms/iteration on "
-                   << survivors.device_count() << " survivors";
-      }
-
-      injector.apply_replan(replanned.compiled->graph, survivors,
-                            survivor_id_map(active_cluster.device_count(),
-                                            scaling.failed));
-      active_cluster = std::move(survivors);
-      active_iter_ms = replanned.evaluation.per_iteration_ms;
-      active_cold_ms = replanned.evaluation.cold_iteration_ms;
-      continue;  // re-execute this step under the new plan
-    }
-
-    if (!live) {
-      ++step;
-      continue;
-    }
-
-    double step_time_ms = active_iter_ms;
-    if (scaling.any()) {
-      // Scale the steady-state time by the degraded/baseline makespan ratio
-      // of a single iteration (the pipeline-overlap correction of
-      // evaluate_plan carries over unchanged).
-      const double scaled_ms = injector.measure(scaling).makespan_ms;
-      if (active_cold_ms > 0.0) {
-        step_time_ms = active_iter_ms * scaled_ms / active_cold_ms;
-      } else {
-        step_time_ms = scaled_ms;
-      }
-    }
-    stats.step_ms.push_back(step_time_ms);
-    stats.total_ms += step_time_ms;
-    if (ckpt_on) journal.step_ms.push_back(step_time_ms);
-    if (log_events) {
-      events->emit(
-          obs::Event("run_step").with("step", step).with("step_ms", step_time_ms));
-    }
-    ++step;
-    // Mid-run snapshots are anchored at absolute step counts so an
-    // interrupted and an uninterrupted run checkpoint at the same steps.
-    if (ckpt_on && step % copts.every == 0 && step < steps) save_snapshot(step);
-  }
-
-  // Online path: *reaction* from measurements only. This loop never reads
-  // the injected FaultPlan — the injector hands out one health::Observation
-  // per attempt and every decision below (retry, escalation, quarantine,
-  // re-plan, degradation) is the monitor's inference over those.
-  std::vector<uint8_t> straggler_handled(
-      static_cast<size_t>(active_cluster.device_count()), 0);
-  while (online && step < steps) {
-    const bool live = step >= start_step;
-    if (shutdown_poll(live)) break;
-    if (live) check_replayed_health();
-
-    // Attempt the step until it completes, a permanent failure is confirmed
-    // (phi accrual over missed heartbeats) or a persistently erroring device
-    // is escalated. Retry arithmetic mirrors the oracle path so per-step
-    // stats stay comparable — but the decisions come from observed error
-    // attributions, never the plan.
-    const bool transients_active = step > transients_done_through;
-    std::vector<int> error_count(static_cast<size_t>(active_cluster.device_count()),
-                                 0);
-    std::vector<double> next_backoff(
-        static_cast<size_t>(active_cluster.device_count()), fh.retry_backoff_ms);
-    health::Observation obs;
-    std::vector<cluster::DeviceId> confirmed;
-    int attempts_spent = 0;
-    bool escalated = false;
-    for (int attempt = 0;; ++attempt) {
-      check(attempt < 100000, "DistRunner: online recovery failed to terminate");
-      obs = injector.attempt_step(step, attempt, transients_active);
-      monitor->observe(obs, live);
-      if (!obs.completed && obs.error_device < 0) {
-        // Timed-out attempt: waiting out the heartbeat interval is detection
-        // overhead, and each timeout draws from the retry budget so
-        // detection terminates even when phi accrues slowly.
-        if (live) stats.detection_overhead_ms += hp.heartbeat_timeout_ms;
-        monitor->charge_retry();
-      }
-      confirmed = monitor->take_confirmed_failures();
-      attempts_spent = attempt + 1;
-      if (obs.completed || !confirmed.empty()) break;
-      if (obs.error_device >= 0) {
-        const int d = obs.error_device;
-        const int n = ++error_count[static_cast<size_t>(d)];
-        if (n > fh.max_retries || !monitor->charge_retry()) {
-          if (live) {
-            log_info() << "DistRunner: G" << d << " still erroring after " << (n - 1)
-                       << " retries at step " << step << " — escalating to failure";
-          }
-          monitor->force_failure(d, step, "error");
-          confirmed = monitor->take_confirmed_failures();
-          escalated = true;
-          break;
-        }
-        if (live) {
-          stats.transient_retries += 1;
-          stats.retry_backoff_total_ms += next_backoff[static_cast<size_t>(d)];
-          if (log_events) {
-            events->emit(obs::Event("run_retry")
-                             .with("step", step)
-                             .with("device", d)
-                             .with("attempts", n)
-                             .with("backoff_ms", next_backoff[static_cast<size_t>(d)]));
-          }
-        }
-        next_backoff[static_cast<size_t>(d)] =
-            std::min(next_backoff[static_cast<size_t>(d)] * 2.0, fh.max_backoff_ms);
-      }
-    }
-
-    bool charged = false;
-    if (obs.completed) {
-      transients_done_through = std::max(transients_done_through, step);
-      // Calibrate the measured makespan against the deployment's cold
-      // makespan: a clean step costs exactly active_iter_ms (measured/cold
-      // == 1) and a degraded step scales by the observed ratio — the same
-      // arithmetic as the oracle path, fed by measurement.
-      double step_time_ms = obs.makespan_ms;
-      if (active_cold_ms > 0.0) {
-        step_time_ms = active_iter_ms * obs.makespan_ms / active_cold_ms;
-      }
-      if (live) {
-        stats.step_ms.push_back(step_time_ms);
-        stats.total_ms += step_time_ms;
-        if (ckpt_on) journal.step_ms.push_back(step_time_ms);
-        if (log_events) {
-          events->emit(
-              obs::Event("run_step").with("step", step).with("step_ms", step_time_ms));
-        }
-      }
-      charged = true;
-    }
-
-    if (!confirmed.empty()) {
-      // Mandatory failure re-plan. The breaker / deadline can degrade it to
-      // the heuristic path but never suppress it — running without the
-      // failed devices is not optional.
-      if (static_cast<int>(confirmed.size()) >= active_cluster.device_count()) {
-        log_info() << "DistRunner: all devices failed at step " << step
-                   << "; cannot recover";
-        stats.completed = false;
-        break;
-      }
-      const bool breaker = monitor->breaker_open();
-      const bool want_rl = fh.replan_rl_episodes > 0;
-      const bool over_deadline =
-          want_rl && hp.replan_deadline_ms > 0.0 &&
-          fh.replan_rl_episodes * active_iter_ms > hp.replan_deadline_ms;
-      const bool degraded = want_rl && (breaker || over_deadline);
-      const bool use_rl = want_rl && !degraded;
-
-      const auto t0 = std::chrono::steady_clock::now();
-      cluster::ClusterSpec survivors = active_cluster;
-      for (auto it = confirmed.rbegin(); it != confirmed.rend(); ++it) {
-        survivors = survivors.remove_device(*it);
-      }
-      const Choice choice = choose_plan(training_graph_, survivors, config_,
-                                        use_rl ? fh.replan_rl_episodes : 0);
-      const Deployment replanned = deploy_plan(training_graph_, survivors, config_,
-                                               choice.grouping,
-                                               choice.search.best_strategy);
-      const double wall_ms =
-          det_walls ? 0.0
-                    : std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-      monitor->record_replan(step, live);
-      // Racks the monitor attributed this batch to (consumed before
-      // on_replan clears them). A domain verdict means the whole rack went
-      // into `confirmed` at once — one replan, not N serial ones.
-      const std::vector<int> domain_racks = monitor->take_domain_verdicts();
-
-      RecoveryReport report;
-      report.fault_step = step;
-      report.failed_devices = confirmed;
-      report.steps_lost = charged ? 0 : 1;
-      report.replan_wall_ms = wall_ms;
-      report.pre_fault_iteration_ms = active_iter_ms;
-      report.post_fault_iteration_ms = replanned.evaluation.per_iteration_ms;
-      report.surviving_devices = survivors.device_count();
-      report.post_plan_oom = replanned.evaluation.oom;
-      report.escalated_transient = escalated;
-      report.detection_attempts = attempts_spent;
-      report.degraded = degraded;
-      report.domain_rack = domain_racks.empty() ? -1 : domain_racks.front();
-      stats.oom = stats.oom || replanned.evaluation.oom;
-      if (live) {
-        stats.recoveries.push_back(report);
-        if (ckpt_on) journal.recoveries.push_back(to_record(report));
-        if (log_events) {
-          events->emit(obs::Event("run_recovery")
-                           .with("step", step)
-                           .with("failed_devices", static_cast<int>(confirmed.size()))
-                           .with("steps_lost", report.steps_lost)
-                           .with("replan_wall_ms", wall_ms)
-                           .with("pre_fault_iteration_ms",
-                                 report.pre_fault_iteration_ms)
-                           .with("post_fault_iteration_ms",
-                                 report.post_fault_iteration_ms)
-                           .with("surviving_devices", report.surviving_devices)
-                           .with("post_plan_oom", report.post_plan_oom)
-                           .with("escalated_transient", report.escalated_transient));
-          if (degraded) {
-            events->emit(obs::Event("degraded_replan")
-                             .with("step", step)
-                             .with("reason", breaker ? "breaker_open" : "deadline")
-                             .with("devices", static_cast<int>(confirmed.size()))
-                             .with("replan", true));
-          }
-          for (const int rack : domain_racks) {
-            events->emit(obs::Event("domain_replan")
-                             .with("step", step)
-                             .with("rack", rack)
-                             .with("devices", static_cast<int>(confirmed.size()))
-                             .with("surviving_devices", report.surviving_devices)
-                             .with("degraded", degraded));
-          }
-        }
-        log_info() << "DistRunner: online detection confirmed failure of "
-                   << confirmed.size() << " device(s) at step " << step << " after "
-                   << attempts_spent << " attempt(s); plan " << active_iter_ms
-                   << " -> " << replanned.evaluation.per_iteration_ms
-                   << " ms/iteration on " << survivors.device_count()
-                   << " survivors" << (degraded ? " (degraded re-plan)" : "");
-      }
+      report.escalated_transient = outcome.escalated;
+      report.detection_attempts = outcome.detection_attempts;
+      report.degraded = outcome.degraded != nullptr;
 
       const std::vector<int> id_map =
-          survivor_id_map(active_cluster.device_count(), confirmed);
+          survivor_id_map(active.cluster.device_count(), outcome.failed);
       injector.apply_replan(replanned.compiled->graph, survivors, id_map);
-      monitor->on_replan(id_map);
-      std::vector<uint8_t> handled_remapped(
-          static_cast<size_t>(survivors.device_count()), 0);
-      for (size_t d = 0; d < straggler_handled.size(); ++d) {
-        if (id_map[d] >= 0) {
-          handled_remapped[static_cast<size_t>(id_map[d])] = straggler_handled[d];
-        }
+      const std::vector<int> racks = detector->replanned(step, rec.live, id_map);
+      report.domain_rack = racks.empty() ? -1 : racks.front();
+      rec.recovery(report, outcome.degraded, racks);
+      active = {std::move(survivors), replanned.evaluation.per_iteration_ms,
+                replanned.evaluation.cold_iteration_ms};
+      if (!outcome.completed) continue;
+    } else if (const auto stragglers = detector->stragglers(step, active, rec)) {
+      // Choose on the believed cluster, deploy on the real one: the injector
+      // keeps applying the true slowdown, so deploying on the derated spec
+      // would double-apply it.
+      const Choice choice = choose_plan(training_graph_, stragglers->derated, config_, 0);
+      const Deployment redeployed =
+          deploy_plan(training_graph_, active.cluster, config_, choice.grouping,
+                      choice.search.best_strategy);
+      std::vector<int> identity(static_cast<size_t>(active.cluster.device_count()));
+      std::iota(identity.begin(), identity.end(), 0);
+      injector.apply_replan(redeployed.compiled->graph, active.cluster, identity);
+      detector->replanned(step, rec.live, identity);
+      rec.stats.oom = rec.stats.oom || redeployed.evaluation.oom;
+      rec.degraded_replan(step, "straggler_replan", stragglers->devices, true);
+      if (rec.live) {
+        log_info() << "DistRunner: re-planned around " << stragglers->devices
+                   << " quarantined straggler(s) at step " << step << "; plan "
+                   << active.iter_ms << " -> " << redeployed.evaluation.per_iteration_ms
+                   << " ms/iteration";
       }
-      straggler_handled = std::move(handled_remapped);
-      active_cluster = std::move(survivors);
-      active_iter_ms = replanned.evaluation.per_iteration_ms;
-      active_cold_ms = replanned.evaluation.cold_iteration_ms;
-      if (charged) {
-        ++step;
-        if (live && ckpt_on && step % copts.every == 0 && step < steps) {
-          save_snapshot(step);
-        }
-      }
-      continue;  // failure mid-step: re-execute it under the new plan
-    }
-
-    // Straggler reaction: devices the monitor quarantined while observing
-    // this step. Each quarantine episode is handled once; a reinstated
-    // device becomes reactive again.
-    std::vector<int> quarantined_now;
-    for (int d = 0; d < active_cluster.device_count(); ++d) {
-      const health::DeviceState st = monitor->state(d);
-      if (st == health::DeviceState::kQuarantined &&
-          !straggler_handled[static_cast<size_t>(d)]) {
-        quarantined_now.push_back(d);
-        straggler_handled[static_cast<size_t>(d)] = 1;
-      } else if (st == health::DeviceState::kHealthy) {
-        straggler_handled[static_cast<size_t>(d)] = 0;
-      }
-    }
-    if (!quarantined_now.empty() && hp.replan_on_straggler) {
-      if (monitor->breaker_open()) {
-        // Breaker open: keep the current plan and absorb the slowdown
-        // (derate in place) instead of piling more re-plans on a run that is
-        // already thrashing.
-        if (live && log_events) {
-          events->emit(obs::Event("degraded_replan")
-                           .with("step", step)
-                           .with("reason", "derate_in_place")
-                           .with("devices",
-                                 static_cast<int>(quarantined_now.size()))
-                           .with("replan", false));
-        }
-      } else {
-        // Optimisation re-plan against the *believed* cluster: derate the
-        // quarantined devices by their measured slowdown estimates (all
-        // reaction-side knowledge) and choose a plan for that. The chosen
-        // strategy is then deployed on the real cluster — the injector keeps
-        // applying the true slowdown, so deploying on the derated spec would
-        // double-apply it.
-        faults::FaultScaling believed;
-        believed.step = step;
-        believed.compute_slowdown.assign(
-            static_cast<size_t>(active_cluster.device_count()), 1.0);
-        for (int d : quarantined_now) {
-          believed.compute_slowdown[static_cast<size_t>(d)] =
-              std::max(1.0, monitor->estimated_slowdown(d));
-        }
-        const cluster::ClusterSpec derated =
-            faults::degraded_cluster(active_cluster, believed);
-        const Choice choice = choose_plan(training_graph_, derated, config_, 0);
-        const Deployment redeployed =
-            deploy_plan(training_graph_, active_cluster, config_, choice.grouping,
-                        choice.search.best_strategy);
-        monitor->record_replan(step, live);
-        std::vector<int> identity(
-            static_cast<size_t>(active_cluster.device_count()));
-        std::iota(identity.begin(), identity.end(), 0);
-        injector.apply_replan(redeployed.compiled->graph, active_cluster, identity);
-        monitor->on_replan(identity);
-        stats.oom = stats.oom || redeployed.evaluation.oom;
-        if (live) {
-          if (log_events) {
-            events->emit(obs::Event("degraded_replan")
-                             .with("step", step)
-                             .with("reason", "straggler_replan")
-                             .with("devices",
-                                   static_cast<int>(quarantined_now.size()))
-                             .with("replan", true));
-          }
-          log_info() << "DistRunner: re-planned around " << quarantined_now.size()
-                     << " quarantined straggler(s) at step " << step << "; plan "
-                     << active_iter_ms << " -> "
-                     << redeployed.evaluation.per_iteration_ms << " ms/iteration";
-        }
-        active_iter_ms = redeployed.evaluation.per_iteration_ms;
-        active_cold_ms = redeployed.evaluation.cold_iteration_ms;
-      }
+      active.iter_ms = redeployed.evaluation.per_iteration_ms;
+      active.cold_ms = redeployed.evaluation.cold_iteration_ms;
     }
 
     ++step;
-    if (live && ckpt_on && step % copts.every == 0 && step < steps) {
-      save_snapshot(step);
-    }
+    if (rec.checkpoint_due(step, steps)) rec.snapshot(step, detector->serialize());
   }
-  check_replayed_health();
-
-  stats.total_ms += stats.retry_backoff_total_ms + stats.detection_overhead_ms;
-  if (monitor) stats.health = monitor->summary();
-  const int executed = static_cast<int>(stats.step_ms.size());
-  stats.per_iteration_ms = executed > 0 ? stats.total_ms / executed : 0.0;
-  save_snapshot(step);  // final snapshot: run end, or the step recovery died at
-  if (log_events) {
-    events->emit(obs::Event("run_end")
-                     .with("steps_executed", executed)
-                     .with("total_ms", stats.total_ms)
-                     .with("per_iteration_ms", stats.per_iteration_ms)
-                     .with("transient_retries", stats.transient_retries)
-                     .with("retry_backoff_ms", stats.retry_backoff_total_ms)
-                     .with("recoveries", static_cast<int>(stats.recoveries.size()))
-                     .with("completed", stats.completed)
-                     .with("interrupted", stats.interrupted));
-  }
-  return stats;
+  rec.stats.health = detector->summary();
+  return rec.finish(step, detector->serialize());
 }
 
 strategy::StrategyBreakdown DistRunner::breakdown() const {
@@ -915,16 +926,11 @@ RunStats resume_run(const std::string& journal_path,
   config.fault_handling.max_backoff_ms = journal.fh_max_backoff_ms;
   config.fault_handling.replan_rl_episodes = journal.fh_replan_rl_episodes;
   config.fault_handling.deterministic_wall_times = journal.fh_deterministic_walls;
-  // An online-monitored run journals its serialized monitor; the embedded
+  // A monitor-detector run journals its serialized monitor; the embedded
   // policy re-enables monitoring on resume so the tail replays the same
-  // detection decisions (run_impl cross-checks the replayed state).
+  // detection decisions (the detector cross-checks the replayed state).
   if (!journal.health_state.empty()) {
-    try {
-      config.health = health::HealthMonitor::deserialize(journal.health_state).policy();
-    } catch (const health::HealthError& e) {
-      throw ckpt::JournalError(
-          std::string("resume_run: embedded health state invalid: ") + e.what());
-    }
+    config.health = MonitorDetector::journalled_policy(journal.health_state);
   }
   config.events = events;  // schedule + run_* telemetry of the resumed tail
   config.plan_store = plan_store;  // durable eval cache for mid-run re-plans

@@ -58,10 +58,10 @@ struct FaultHandlingConfig {
 struct HeteroGConfig {
   agent::AgentConfig agent;
   /// Online health monitoring (DESIGN.md "Online health & degraded modes").
-  /// When `health.enabled`, fault-aware runs detect failures and stragglers
-  /// from measurements only — the recovery loop never reads the injected
-  /// FaultPlan (that stays inside sim::FaultInjector). Off = the PR-1 oracle
-  /// recovery path.
+  /// Picks the detector a fault-aware run's step loop takes each step's
+  /// outcome from. When `health.enabled`, the monitor detector infers
+  /// failures and stragglers from per-attempt measurements only and never
+  /// reads the injected FaultPlan; off, the oracle detector reads the plan.
   health::HealthPolicy health;
   /// Search configuration. `train.threads` fans strategy evaluation across a
   /// worker pool and `train.eval_cache_capacity` memoizes repeated plans —
@@ -94,29 +94,11 @@ struct HeteroGConfig {
   store::PlanStore* plan_store = nullptr;
 };
 
-/// What one recovery from a permanent device failure cost.
-struct RecoveryReport {
-  int fault_step = -1;  // step that was in flight when the failure hit
-  /// Failed device ids, in the id space of the cluster active at fault time
-  /// (equal to the original ids until a previous recovery re-densified them).
-  std::vector<cluster::DeviceId> failed_devices;
-  int steps_lost = 0;            // in-flight steps re-executed after resume
-  double replan_wall_ms = 0.0;   // wall-clock spent re-planning
-  double pre_fault_iteration_ms = 0.0;
-  double post_fault_iteration_ms = 0.0;
-  int surviving_devices = 0;
-  bool post_plan_oom = false;
-  bool escalated_transient = false;  // failure came from exhausted retries
-  /// Online detection only: failed attempts spent confirming this failure
-  /// before the re-plan (0 on the oracle path — there detection is a plan
-  /// lookup, not an inference).
-  int detection_attempts = 0;
-  /// The re-plan was degraded to the heuristic path because the circuit
-  /// breaker was open or the configured re-plan deadline was exceeded.
-  bool degraded = false;
-  /// Online domain attribution only: rack the monitor attributed this batch
-  /// of failures to (-1 = independent failures). In-memory diagnostic; the
-  /// journal's RecoveryRecord format does not carry it.
+/// What one recovery from a permanent device failure cost: the journalled
+/// record plus an in-memory diagnostic.
+struct RecoveryReport : ckpt::RecoveryRecord {
+  /// Monitor detector only: rack the monitor attributed this batch of
+  /// failures to (-1 = independent failures). Not journalled.
   int domain_rack = -1;
 };
 
@@ -128,9 +110,10 @@ struct RunStats {
   double communication_ms = 0.0;
   bool oom = false;
 
-  /// Fault-aware runs only (run(steps, plan)): per-step times, retry
-  /// bookkeeping and one report per re-plan. `completed` goes false only
-  /// when recovery is impossible (no surviving devices).
+  /// Step-by-step runs only (run(steps, plan) and the checkpointing
+  /// overloads): per-step times, retry bookkeeping and one report per
+  /// failure re-plan. `completed` goes false only when recovery is
+  /// impossible (no surviving devices) or the run was interrupted.
   std::vector<double> step_ms;
   int transient_retries = 0;
   double retry_backoff_total_ms = 0.0;
@@ -145,10 +128,10 @@ struct RunStats {
   /// install the handlers.
   bool interrupted = false;
 
-  /// Online health monitoring only (HeteroGConfig::health.enabled): wall
-  /// time spent waiting out heartbeat timeouts while confirming failures
+  /// Monitor detector only (HeteroGConfig::health.enabled): wall time
+  /// spent waiting out heartbeat timeouts while confirming failures
   /// (included in total_ms but kept out of step_ms so per-step times stay
-  /// comparable to the oracle path), and the monitor's aggregate outcome.
+  /// comparable to the oracle detector's), and the monitor's aggregate outcome.
   /// On a resumed run the summary covers the whole run including the
   /// replayed prefix (the monitor is rebuilt by replay).
   double detection_overhead_ms = 0.0;
@@ -210,13 +193,14 @@ class DistRunner {
              graph::GraphDef training_graph, strategy::Grouping grouping,
              rl::SearchResult search);
 
-  /// Shared engine behind every run() overload and resume_run. Steps in
-  /// [0, start_step) are *replayed*: every state transition (transient
-  /// escalation, device-failure re-planning, fault-plan remapping) is
-  /// applied so the execution state at start_step is bit-identical to an
-  /// uninterrupted run's, but no time or stats are charged — those steps
-  /// already happened before the crash. `prior` carries the journal history
-  /// a resumed run extends; null for fresh runs.
+  /// Engine behind resume_run and every run() overload but the fault-free
+  /// fast path: one step loop that takes each step's outcome from the oracle
+  /// or the monitor detector. Steps in [0, start_step) are *replayed*: every
+  /// state transition (transient escalation, device-failure re-planning,
+  /// fault-plan remapping) is applied so the execution state at start_step
+  /// is bit-identical to an uninterrupted run's, but no time or stats are
+  /// charged — those steps already happened before the crash. `prior`
+  /// carries the journal history a resumed run extends; null for fresh runs.
   RunStats run_impl(int steps, const faults::FaultPlan& plan, int start_step,
                     const ckpt::CheckpointOptions& ckpt,
                     const ckpt::RunJournal* prior) const;

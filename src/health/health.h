@@ -55,8 +55,8 @@ class HealthError : public std::runtime_error {
 /// confirmed within 3 heartbeat rounds and a x2 straggler within ~5 steps of
 /// onset on the paper testbeds.
 struct HealthPolicy {
-  /// Master switch: off = the PR-1 oracle path (DistRunner reads the fault
-  /// plan directly); on = measurement-only detection via this monitor.
+  /// Master switch: off = DistRunner's oracle detector reads the fault plan;
+  /// on = its monitor detector infers from measurements via this monitor.
   bool enabled = false;
 
   /// EWMA smoothing factor for per-device busy-time baselines (weight of the

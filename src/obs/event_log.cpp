@@ -49,7 +49,8 @@ void append_double(std::string& out, double value) {
 
 const std::vector<std::string>& all_event_types() {
   // The emit-side schema. Adding a type here without a matching section in
-  // docs/observability.md fails tests/obs_test.cpp:DocsCoverEveryEventType.
+  // docs/observability.md fails
+  // tests/obs_test.cpp:Docs.ObservabilityDocCoversExactlyTheEventVocabulary.
   static const std::vector<std::string> types = {
       // Strategy search (rl::Trainer).
       "search_start", "search_phase", "search_episode", "search_end",

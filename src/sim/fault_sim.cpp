@@ -203,19 +203,4 @@ void FaultInjector::apply_replan(compile::DistGraph graph,
   plan_.validate(cluster_);
 }
 
-faults::FaultScaling FaultInjector::oracle_scaling(int step) const {
-  faults::FaultScaling scaling = faults::scaling_at(plan_, cluster_, step);
-  // Legacy PR-1 oracle path: isolation is folded into failure (permanent
-  // domain loss) — that runner removes devices and never re-admits them.
-  if (!scaling.isolated.empty()) {
-    scaling.failed.insert(scaling.failed.end(), scaling.isolated.begin(),
-                          scaling.isolated.end());
-    std::sort(scaling.failed.begin(), scaling.failed.end());
-    scaling.failed.erase(std::unique(scaling.failed.begin(), scaling.failed.end()),
-                         scaling.failed.end());
-    scaling.isolated.clear();
-  }
-  return scaling;
-}
-
 }  // namespace heterog::sim

@@ -31,13 +31,12 @@ bool plan_uses_device(const compile::DistGraph& graph, cluster::DeviceId device)
 
 /// The *injection* half of the fault pipeline (DESIGN.md "Online health &
 /// degraded modes"). The injector owns the FaultPlan and the fault-scaled
-/// simulations; the runner's reaction logic sees only the
+/// simulations. DistRunner's monitor detector sees only the
 /// health::Observation values it hands out — per-attempt heartbeats, error
 /// attributions and (for completed attempts) the raw makespan and per-device
-/// busy times a real execution engine's telemetry would report. The oracle_*
-/// accessors exist solely for the legacy PR-1 recovery path and the runner's
-/// measurement-free replay bookkeeping; the online health path never calls
-/// them.
+/// busy times a real execution engine's telemetry would report. Its oracle
+/// detector reads the plan through oracle_plan() and times steps with
+/// measure().
 class FaultInjector {
  public:
   /// Raw timing of one simulated iteration under a fixed fault set.
@@ -60,8 +59,8 @@ class FaultInjector {
   health::Observation attempt_step(int step, int attempt,
                                    bool transients_active = true);
 
-  /// Memoised simulation of the active graph under `scaling` (shared by the
-  /// oracle and online paths so their arithmetic is identical).
+  /// Memoised simulation of the active graph under `scaling` (attempt_step
+  /// and the oracle detector share it, so their arithmetic is identical).
   const StepMeasurement& measure(const faults::FaultScaling& scaling);
 
   /// Swaps in the re-planned graph/cluster and rewrites the plan's device
@@ -69,8 +68,7 @@ class FaultInjector {
   void apply_replan(compile::DistGraph graph, cluster::ClusterSpec cluster,
                     const std::vector<int>& new_id_of);
 
-  /// Oracle accessors — PR-1 recovery path only.
-  faults::FaultScaling oracle_scaling(int step) const;
+  /// The remapped fault plan — DistRunner's oracle detector only.
   const faults::FaultPlan& oracle_plan() const { return plan_; }
 
   int device_count() const { return cluster_.device_count(); }

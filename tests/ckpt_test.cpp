@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "ckpt/journal.h"
+#include "common/shutdown.h"
 #include "core/heterog.h"
 #include "faults/faults.h"
 #include "models/models.h"
@@ -343,6 +344,58 @@ TEST(Resume, BitIdenticalTailWithFaults) {
     ASSERT_EQ(done.recoveries.size(), 1u);
     EXPECT_EQ(done.recoveries[0].fault_step, 6);
   }
+}
+
+/// Cooperative shutdown under one detector: request_shutdown() from the
+/// checkpoint hook at step `stop_at` stops the run at that step boundary,
+/// interrupted and resumable; resume_run then finishes a tail bit-identical
+/// to an uninterrupted run's and leaves the same final journal.
+void check_shutdown_and_resume(bool monitor) {
+  HeteroGConfig config = fast_config();
+  config.health.enabled = monitor;
+  config.fault_handling.deterministic_wall_times = true;
+  const DistRunner runner =
+      get_runner(toy_model, cluster::make_paper_testbed_8gpu(), config);
+  const int steps = 16;
+  const int stop_at = 8;  // after the device failure's recovery at step 6
+  const faults::FaultPlan plan = mixed_fault_plan();
+  const std::string tag = monitor ? "monitor" : "oracle";
+
+  TempDir ref_dir("shutdown_ref_" + tag);
+  const RunStats full = runner.run(steps, plan, opts(ref_dir.str(), 4));
+  ASSERT_TRUE(full.completed);
+  ASSERT_EQ(full.recoveries.size(), 1u);
+
+  TempDir dir("shutdown_" + tag);
+  ckpt::CheckpointOptions stopping = opts(dir.str(), 4);
+  stopping.after_checkpoint = [stop_at](int completed, const std::string&) {
+    if (completed == stop_at) request_shutdown();
+  };
+  reset_shutdown_for_tests();
+  const RunStats stopped = runner.run(steps, plan, stopping);
+  reset_shutdown_for_tests();
+  EXPECT_TRUE(stopped.interrupted);
+  EXPECT_FALSE(stopped.completed);
+  ASSERT_EQ(stopped.step_ms.size(), static_cast<size_t>(stop_at));
+  EXPECT_EQ(stopped.step_ms,
+            std::vector<double>(full.step_ms.begin(), full.step_ms.begin() + stop_at));
+
+  const std::string path = (dir.path() / "journal.heterog").string();
+  EXPECT_EQ(ckpt::load_journal(path).watermark, stop_at);
+  const RunStats tail = resume_run(path, toy_model);
+  EXPECT_TRUE(tail.completed);
+  EXPECT_FALSE(tail.interrupted);
+  EXPECT_EQ(tail.step_ms, tail_of(full.step_ms, stop_at));
+  EXPECT_EQ(ckpt::to_text(ckpt::load_journal(path)),
+            ckpt::to_text(ckpt::load_journal(ref_dir.str() + "/journal.heterog")));
+}
+
+TEST(Resume, ShutdownStopsTheOracleDetectorRunResumably) {
+  check_shutdown_and_resume(/*monitor=*/false);
+}
+
+TEST(Resume, ShutdownStopsTheMonitorDetectorRunResumably) {
+  check_shutdown_and_resume(/*monitor=*/true);
 }
 
 TEST(Resume, SigkillAtArbitraryInstant) {

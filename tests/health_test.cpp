@@ -1,15 +1,17 @@
 // Online health monitoring (src/health/): monitor-level unit tests for the
 // EWMA/z-score straggler detector, phi-accrual failure confirmation,
 // quarantine/probation hysteresis, retry budget and circuit breaker, plus
-// end-to-end acceptance of the oracle-free DistRunner path — the recovery
-// loop never reads the injected FaultPlan, yet detection latency and
-// per-step times are pinned against the PR-1 oracle path.
+// end-to-end acceptance of DistRunner's monitor detector — it never reads
+// the injected FaultPlan, yet detection latency and per-step times are
+// pinned against the oracle detector, and both detectors' retry events and
+// all-devices-failed stop are pinned side by side.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/heterog.h"
@@ -611,9 +613,51 @@ TEST(OnlineHealth, AllDevicesFailedStopsWithoutHanging) {
   faults::FaultPlan plan;
   plan.events = {device_failure(0, 2), device_failure(1, 2), device_failure(2, 2),
                  device_failure(3, 2)};
-  const RunStats stats = fig3_runner(online_config()).run(8, plan);
-  EXPECT_FALSE(stats.completed);
-  EXPECT_EQ(stats.step_ms.size(), 2u);  // steps 0 and 1 completed
+  for (const HeteroGConfig& config : {fast_config(), online_config()}) {
+    SCOPED_TRACE(config.health.enabled ? "monitor detector" : "oracle detector");
+    const RunStats stats = fig3_runner(config).run(8, plan);
+    EXPECT_FALSE(stats.completed);
+    EXPECT_FALSE(stats.interrupted);
+    EXPECT_EQ(stats.step_ms.size(), 2u);  // steps 0 and 1 completed
+    EXPECT_TRUE(stats.recoveries.empty());
+  }
+}
+
+TEST(OnlineHealth, RetryEventsFollowEachDetectorsGranularity) {
+  // Same transient, same totals, different run_retry granularity: the
+  // oracle knows the attempt count up front and writes one event with the
+  // total attempts and backoff; the monitor learns of each failed attempt
+  // as it happens and writes one event per attempt with the device's
+  // running count and that attempt's backoff.
+  faults::FaultPlan plan;
+  plan.events = {transient(2, 3, 2)};
+  const fs::path log_path =
+      fs::temp_directory_path() /
+      ("heterog_health_retries_" + std::to_string(::getpid()) + ".jsonl");
+  using Retries = std::vector<std::pair<double, double>>;  // (attempts, backoff_ms)
+  for (const bool monitor : {false, true}) {
+    SCOPED_TRACE(monitor ? "monitor detector" : "oracle detector");
+    HeteroGConfig config = monitor ? online_config() : fast_config();
+    {
+      obs::EventLog log(log_path.string());
+      ASSERT_TRUE(log.ok());
+      config.events = &log;
+      const RunStats stats = fig3_runner(config).run(10, plan);
+      EXPECT_EQ(stats.transient_retries, 2);
+      EXPECT_DOUBLE_EQ(stats.retry_backoff_total_ms, 150.0);
+    }
+    Retries retries;
+    for (const auto& event : obs::read_events(log_path.string())) {
+      if (event.type != "run_retry") continue;
+      EXPECT_EQ(event.number("step"), 3.0);
+      EXPECT_EQ(event.number("device"), 2.0);
+      retries.emplace_back(event.number("attempts"), event.number("backoff_ms"));
+    }
+    const Retries expected =
+        monitor ? Retries{{1, 50.0}, {2, 100.0}} : Retries{{2, 150.0}};
+    EXPECT_EQ(retries, expected);
+  }
+  fs::remove(log_path);
 }
 
 }  // namespace

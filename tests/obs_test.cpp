@@ -9,6 +9,8 @@
 // exactly the event vocabulary the code can emit.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -20,6 +22,9 @@
 #include <vector>
 
 #include "agent/policy.h"
+#include "cluster/topology.h"
+#include "core/heterog.h"
+#include "models/models.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -503,6 +508,95 @@ TEST(Docs, ObservabilityDocCoversExactlyTheEventVocabulary) {
         << "`, which all_event_types() does not know";
   }
   EXPECT_EQ(documented, static_cast<int>(known.size()));
+}
+
+/// The field names of `type`'s docs/observability.md table: the backticked
+/// first cell of each row between its heading and the next heading.
+std::set<std::string> documented_fields(const std::string& doc, const std::string& type) {
+  const size_t start = doc.find("### `" + type + "`");
+  EXPECT_NE(start, std::string::npos) << type;
+  const size_t end = doc.find("\n#", start + 1);
+  std::set<std::string> fields;
+  std::istringstream section(doc.substr(start, end - start));
+  for (std::string line; std::getline(section, line);) {
+    if (line.rfind("| `", 0) != 0) continue;
+    fields.insert(line.substr(3, line.find('`', 3) - 3));
+  }
+  return fields;
+}
+
+faults::FaultEvent fault(faults::FaultKind kind, int device, int onset) {
+  faults::FaultEvent e;
+  e.kind = kind;
+  e.device = device;
+  e.onset_step = onset;
+  return e;
+}
+
+// Every runner event — the fault-free fast path, the oracle detector and
+// the monitor detector, with retries, failures, checkpoints, a straggler
+// re-plan, a degraded re-plan and a rack-wide re-plan — carries exactly the
+// fields its docs/observability.md table lists.
+TEST(Docs, RunnerEventsCarryExactlyTheDocumentedFields) {
+  const fs::path dir =
+      fs::temp_directory_path() / ("heterog_obs_runner_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto model = [] {
+    return models::build_forward(models::ModelKind::kMobileNetV2, 0, 96);
+  };
+  ckpt::CheckpointOptions ckpt;
+  ckpt.dir = (dir / "ckpt").string();
+  ckpt.every = 2;
+  faults::FaultEvent transient = fault(faults::FaultKind::kTransient, 2, 3);
+  transient.failed_attempts = 2;
+  faults::FaultEvent straggler = fault(faults::FaultKind::kStraggler, 0, 5);
+  straggler.slowdown = 4.0;
+  faults::FaultPlan plan;
+  plan.events = {transient, straggler, fault(faults::FaultKind::kDeviceFailure, 1, 8)};
+  faults::FaultEvent rack = fault(faults::FaultKind::kRackFailure, -1, 4);
+  rack.rack = 1;
+  faults::FaultPlan rack_plan;
+  rack_plan.events = {rack};
+  {
+    EventLog log((dir / "events.jsonl").string());
+    ASSERT_TRUE(log.ok());
+    HeteroGConfig config;
+    config.search_with_rl = false;
+    config.train.episodes = 0;
+    config.agent.max_groups = 16;
+    config.fault_handling.deterministic_wall_times = true;
+    config.events = &log;
+    const DistRunner oracle = get_runner(model, cluster::make_fig3_testbed(), config);
+    oracle.run(3);
+    oracle.run(12, plan, ckpt);
+
+    config.health.enabled = true;
+    config.health.replan_on_straggler = true;
+    get_runner(model, cluster::make_fig3_testbed(), config).run(12, plan, ckpt);
+    config.fault_handling.replan_rl_episodes = 1;
+    config.health.replan_deadline_ms = 0.001;  // the rack re-plan degrades
+    get_runner(model, cluster::generate_cluster(*cluster::topo_preset("rack16")), config)
+        .run(8, rack_plan, ckpt);
+  }
+
+  const std::string doc =
+      read_file(fs::path(HETEROG_SOURCE_DIR) / "docs/observability.md");
+  const std::set<std::string> runner_types = {
+      "run_start", "run_step",        "run_retry",    "run_recovery", "run_checkpoint",
+      "run_end",   "degraded_replan", "domain_replan"};
+  std::set<std::string> seen;
+  for (const ParsedEvent& event : read_events((dir / "events.jsonl").string())) {
+    if (runner_types.count(event.type) == 0) continue;
+    seen.insert(event.type);
+    std::set<std::string> fields;
+    for (const auto& [key, value] : event.fields) {
+      if (key != "v" && key != "seq" && key != "type") fields.insert(key);
+    }
+    EXPECT_EQ(fields, documented_fields(doc, event.type)) << "seq " << event.seq;
+  }
+  EXPECT_EQ(seen, runner_types);
+  fs::remove_all(dir);
 }
 
 }  // namespace
