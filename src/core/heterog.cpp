@@ -508,6 +508,9 @@ class MonitorDetector final : public Detector {
       }
       monitor_.set_rack_map(std::move(racks));
     }
+    // Sized once, so that capturing a failing step's starting state reuses
+    // this buffer instead of allocating mid-run.
+    step_start_state_.reserve(2 * monitor_.serialize().size());
   }
 
   StepOutcome attempt(int step, const ActiveDeployment& active,
@@ -515,16 +518,19 @@ class MonitorDetector final : public Detector {
     if (rec.live) check_replay();
     // Attempt the step until it completes, a permanent failure is confirmed
     // (phi accrual over missed heartbeats) or a persistently erroring device
-    // is escalated. Transients count as done only once the step completes.
-    const bool transients_active = step > transients_done_through_;
+    // is escalated.
     const size_t devices = static_cast<size_t>(active.cluster.device_count());
     std::vector<int> errors(devices, 0);
     std::vector<double> backoff(devices, fh_.retry_backoff_ms);
     StepOutcome out;
     for (int attempt = 0;; ++attempt) {
       check(attempt < 100000, "DistRunner: monitor detection failed to terminate");
-      const health::Observation obs =
-          injector_.attempt_step(step, attempt, transients_active);
+      const health::Observation obs = injector_.attempt_step(step, attempt);
+      if (!obs.completed && unfinished_step_ != step) {
+        unfinished_step_ = step;
+        const std::string state = monitor_.serialize();
+        step_start_state_.assign(state);
+      }
       monitor_.observe(obs, rec.live);
       if (!obs.completed && obs.error_device < 0) {
         // Timed-out attempt: waiting out the heartbeat interval is detection
@@ -538,7 +544,7 @@ class MonitorDetector final : public Detector {
       if (obs.completed) {
         out.completed = true;
         out.makespan_ms = obs.makespan_ms;
-        transients_done_through_ = std::max(transients_done_through_, step);
+        unfinished_step_ = -1;
       }
       if (obs.completed || !out.failed.empty()) break;
       if (obs.error_device < 0) continue;
@@ -623,7 +629,13 @@ class MonitorDetector final : public Detector {
     return racks;
   }
 
-  std::string serialize() const override { return monitor_.serialize(); }
+  /// The monitor at the last step boundary. A run that stops inside a step
+  /// (every device failed) journals the state that step started from: its
+  /// resume replays up to that step, checks this snapshot and runs the step
+  /// again, as the oracle's resume does.
+  std::string serialize() const override {
+    return unfinished_step_ >= 0 ? step_start_state_ : monitor_.serialize();
+  }
 
   /// The policy a journalled serialize() was written under.
   static health::HealthPolicy journalled_policy(const std::string& health_state) {
@@ -660,7 +672,10 @@ class MonitorDetector final : public Detector {
   health::HealthMonitor monitor_;
   std::vector<uint8_t> straggler_handled_;
   const ckpt::RunJournal* prior_;
-  int transients_done_through_ = -1;
+  /// The step whose attempts have not completed yet (-1 between steps), and
+  /// the monitor state serialized before its first attempt was observed.
+  int unfinished_step_ = -1;
+  std::string step_start_state_;
   bool replay_checked_ = false;
 };
 

@@ -3,7 +3,19 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/simd.h"
+
 namespace heterog::nn {
+
+namespace {
+
+/// g += a (elementwise *) b, each product formed before it is added.
+void add_product(const Matrix& a, const Matrix& b, Matrix& g) {
+  check(a.same_shape(b) && a.same_shape(g), "hadamard: shape mismatch");
+  simd::add_product(g.data(), a.data(), b.data(), static_cast<size_t>(g.size()));
+}
+
+}  // namespace
 
 double Var::scalar() const {
   check(rows() == 1 && cols() == 1, "Var::scalar: not 1x1");
@@ -39,10 +51,10 @@ Var Tape::matmul(const Var& a, const Var& b) {
   Matrix out = nn::matmul(a.value(), b.value());
   return record(std::move(out), {a, b}, [a, b](VarData& node) {
     if (a.data()->requires_grad) {
-      a.data()->ensure_grad().add_in_place(matmul_nt(node.grad, b.value()));
+      matmul_nt_add(node.grad, b.value(), a.data()->ensure_grad());
     }
     if (b.data()->requires_grad) {
-      b.data()->ensure_grad().add_in_place(matmul_tn(a.value(), node.grad));
+      matmul_tn_add(a.value(), node.grad, b.data()->ensure_grad());
     }
   });
 }
@@ -65,16 +77,16 @@ Var Tape::subtract(const Var& a, const Var& b) {
 
 Var Tape::add_row_broadcast(const Var& a, const Var& row) {
   check(row.rows() == 1 && row.cols() == a.cols(), "add_row_broadcast: bad row shape");
-  Matrix out = a.value();
-  for (int r = 0; r < out.rows(); ++r) {
-    for (int c = 0; c < out.cols(); ++c) out.at(r, c) += row.value().at(0, c);
-  }
+  const int n = a.rows(), d = a.cols();
+  const double* bias = row.value().data();
+  Matrix out = Matrix::uninitialized(n, d);
+  for (int r = 0; r < n; ++r) simd::sum(out.row(r), a.value().row(r), bias, d);
   return record(std::move(out), {a, row}, [a, row](VarData& node) {
     if (a.data()->requires_grad) a.data()->ensure_grad().add_in_place(node.grad);
     if (row.data()->requires_grad) {
-      Matrix& g = row.data()->ensure_grad();
+      double* g = row.data()->ensure_grad().data();
       for (int r = 0; r < node.grad.rows(); ++r) {
-        for (int c = 0; c < node.grad.cols(); ++c) g.at(0, c) += node.grad.at(r, c);
+        simd::add(g, node.grad.row(r), node.grad.cols());
       }
     }
   });
@@ -83,10 +95,10 @@ Var Tape::add_row_broadcast(const Var& a, const Var& row) {
 Var Tape::hadamard(const Var& a, const Var& b) {
   return record(nn::hadamard(a.value(), b.value()), {a, b}, [a, b](VarData& node) {
     if (a.data()->requires_grad) {
-      a.data()->ensure_grad().add_in_place(nn::hadamard(node.grad, b.value()));
+      add_product(node.grad, b.value(), a.data()->ensure_grad());
     }
     if (b.data()->requires_grad) {
-      b.data()->ensure_grad().add_in_place(nn::hadamard(node.grad, a.value()));
+      add_product(node.grad, a.value(), b.data()->ensure_grad());
     }
   });
 }
@@ -101,35 +113,34 @@ Var Tape::scale(const Var& a, double factor) {
 
 Var Tape::mul_col_broadcast(const Var& a, const Var& col) {
   check(col.cols() == 1 && col.rows() == a.rows(), "mul_col_broadcast: bad col shape");
-  Matrix out = a.value();
-  for (int r = 0; r < out.rows(); ++r) {
-    const double w = col.value().at(r, 0);
-    for (int c = 0; c < out.cols(); ++c) out.at(r, c) *= w;
-  }
+  const int n = a.rows(), d = a.cols();
+  const double* weights = col.value().data();
+  Matrix out = Matrix::uninitialized(n, d);
+  for (int r = 0; r < n; ++r) simd::scaled(out.row(r), a.value().row(r), weights[r], d);
   return record(std::move(out), {a, col}, [a, col](VarData& node) {
+    const int n2 = node.grad.rows(), d2 = node.grad.cols();
+    const double* w = col.value().data();
     if (a.data()->requires_grad) {
       Matrix& g = a.data()->ensure_grad();
-      for (int r = 0; r < node.grad.rows(); ++r) {
-        const double w = col.value().at(r, 0);
-        for (int c = 0; c < node.grad.cols(); ++c) g.at(r, c) += node.grad.at(r, c) * w;
-      }
+      for (int r = 0; r < n2; ++r) simd::add_scaled(g.row(r), node.grad.row(r), w[r], d2);
     }
     if (col.data()->requires_grad) {
-      Matrix& g = col.data()->ensure_grad();
-      for (int r = 0; r < node.grad.rows(); ++r) {
+      double* g = col.data()->ensure_grad().data();
+      for (int r = 0; r < n2; ++r) {
+        const double* grad = node.grad.row(r);
+        const double* src = a.value().row(r);
         double dot = 0.0;
-        for (int c = 0; c < node.grad.cols(); ++c) {
-          dot += node.grad.at(r, c) * a.value().at(r, c);
-        }
-        g.at(r, 0) += dot;
+        for (int c = 0; c < d2; ++c) dot += grad[c] * src[c];
+        g[r] += dot;
       }
     }
   });
 }
 
 Var Tape::relu(const Var& a) {
-  Matrix out = a.value();
-  for (int64_t i = 0; i < out.size(); ++i) out.data()[i] = std::max(out.data()[i], 0.0);
+  const double* x = a.value().data();
+  Matrix out = Matrix::uninitialized(a.rows(), a.cols());
+  for (int64_t i = 0; i < out.size(); ++i) out.data()[i] = std::max(x[i], 0.0);
   return record(std::move(out), {a}, [a](VarData& node) {
     if (!a.data()->requires_grad) return;
     Matrix& g = a.data()->ensure_grad();
@@ -140,9 +151,10 @@ Var Tape::relu(const Var& a) {
 }
 
 Var Tape::leaky_relu(const Var& a, double slope) {
-  Matrix out = a.value();
+  const double* x = a.value().data();
+  Matrix out = Matrix::uninitialized(a.rows(), a.cols());
   for (int64_t i = 0; i < out.size(); ++i) {
-    if (out.data()[i] < 0.0) out.data()[i] *= slope;
+    out.data()[i] = x[i] < 0.0 ? x[i] * slope : x[i];
   }
   return record(std::move(out), {a}, [a, slope](VarData& node) {
     if (!a.data()->requires_grad) return;
@@ -155,10 +167,10 @@ Var Tape::leaky_relu(const Var& a, double slope) {
 }
 
 Var Tape::elu(const Var& a) {
-  Matrix out = a.value();
+  const double* x = a.value().data();
+  Matrix out = Matrix::uninitialized(a.rows(), a.cols());
   for (int64_t i = 0; i < out.size(); ++i) {
-    const double x = out.data()[i];
-    if (x < 0.0) out.data()[i] = std::exp(x) - 1.0;
+    out.data()[i] = x[i] < 0.0 ? std::exp(x[i]) - 1.0 : x[i];
   }
   return record(std::move(out), {a}, [a](VarData& node) {
     if (!a.data()->requires_grad) return;
@@ -172,8 +184,9 @@ Var Tape::elu(const Var& a) {
 }
 
 Var Tape::tanh_act(const Var& a) {
-  Matrix out = a.value();
-  for (int64_t i = 0; i < out.size(); ++i) out.data()[i] = std::tanh(out.data()[i]);
+  const double* x = a.value().data();
+  Matrix out = Matrix::uninitialized(a.rows(), a.cols());
+  for (int64_t i = 0; i < out.size(); ++i) out.data()[i] = std::tanh(x[i]);
   return record(std::move(out), {a}, [a](VarData& node) {
     if (!a.data()->requires_grad) return;
     Matrix& g = a.data()->ensure_grad();
@@ -184,58 +197,59 @@ Var Tape::tanh_act(const Var& a) {
   });
 }
 
-namespace {
-
-Matrix softmax_rows_value(const Matrix& a) {
-  Matrix out = a;
-  for (int r = 0; r < out.rows(); ++r) {
-    double row_max = -1e300;
-    for (int c = 0; c < out.cols(); ++c) row_max = std::max(row_max, out.at(r, c));
-    double total = 0.0;
-    for (int c = 0; c < out.cols(); ++c) {
-      out.at(r, c) = std::exp(out.at(r, c) - row_max);
-      total += out.at(r, c);
-    }
-    for (int c = 0; c < out.cols(); ++c) out.at(r, c) /= total;
-  }
-  return out;
-}
-
-}  // namespace
-
 Var Tape::softmax_rows(const Var& a) {
-  return record(softmax_rows_value(a.value()), {a}, [a](VarData& node) {
-    if (!a.data()->requires_grad) return;
-    Matrix& g = a.data()->ensure_grad();
-    const Matrix& p = node.value;
-    for (int r = 0; r < p.rows(); ++r) {
-      double dot = 0.0;
-      for (int c = 0; c < p.cols(); ++c) dot += node.grad.at(r, c) * p.at(r, c);
-      for (int c = 0; c < p.cols(); ++c) {
-        g.at(r, c) += p.at(r, c) * (node.grad.at(r, c) - dot);
-      }
-    }
-  });
-}
-
-Var Tape::log_softmax_rows(const Var& a) {
-  Matrix out = a.value();
-  for (int r = 0; r < out.rows(); ++r) {
+  const int n = a.rows(), d = a.cols();
+  Matrix out = Matrix::uninitialized(n, d);
+  for (int r = 0; r < n; ++r) {
+    const double* x = a.value().row(r);
+    double* p = out.row(r);
     double row_max = -1e300;
-    for (int c = 0; c < out.cols(); ++c) row_max = std::max(row_max, out.at(r, c));
+    for (int c = 0; c < d; ++c) row_max = std::max(row_max, x[c]);
     double total = 0.0;
-    for (int c = 0; c < out.cols(); ++c) total += std::exp(out.at(r, c) - row_max);
-    const double log_z = row_max + std::log(total);
-    for (int c = 0; c < out.cols(); ++c) out.at(r, c) -= log_z;
+    for (int c = 0; c < d; ++c) {
+      p[c] = std::exp(x[c] - row_max);
+      total += p[c];
+    }
+    for (int c = 0; c < d; ++c) p[c] /= total;
   }
   return record(std::move(out), {a}, [a](VarData& node) {
     if (!a.data()->requires_grad) return;
     Matrix& g = a.data()->ensure_grad();
     for (int r = 0; r < node.value.rows(); ++r) {
+      const double* p = node.value.row(r);
+      const double* grad = node.grad.row(r);
+      double* dst = g.row(r);
+      double dot = 0.0;
+      for (int c = 0; c < node.value.cols(); ++c) dot += grad[c] * p[c];
+      for (int c = 0; c < node.value.cols(); ++c) dst[c] += p[c] * (grad[c] - dot);
+    }
+  });
+}
+
+Var Tape::log_softmax_rows(const Var& a) {
+  const int n = a.rows(), d = a.cols();
+  Matrix out = Matrix::uninitialized(n, d);
+  for (int r = 0; r < n; ++r) {
+    const double* x = a.value().row(r);
+    double row_max = -1e300;
+    for (int c = 0; c < d; ++c) row_max = std::max(row_max, x[c]);
+    double total = 0.0;
+    for (int c = 0; c < d; ++c) total += std::exp(x[c] - row_max);
+    const double log_z = row_max + std::log(total);
+    double* y = out.row(r);
+    for (int c = 0; c < d; ++c) y[c] = x[c] - log_z;
+  }
+  return record(std::move(out), {a}, [a](VarData& node) {
+    if (!a.data()->requires_grad) return;
+    Matrix& g = a.data()->ensure_grad();
+    for (int r = 0; r < node.value.rows(); ++r) {
+      const double* y = node.value.row(r);
+      const double* grad = node.grad.row(r);
+      double* dst = g.row(r);
       double grad_sum = 0.0;
-      for (int c = 0; c < node.value.cols(); ++c) grad_sum += node.grad.at(r, c);
+      for (int c = 0; c < node.value.cols(); ++c) grad_sum += grad[c];
       for (int c = 0; c < node.value.cols(); ++c) {
-        g.at(r, c) += node.grad.at(r, c) - std::exp(node.value.at(r, c)) * grad_sum;
+        dst[c] += grad[c] - std::exp(y[c]) * grad_sum;
       }
     }
   });
@@ -248,60 +262,67 @@ Var Tape::layer_norm_rows(const Var& a, const Var& gain, const Var& bias,
   check(bias.rows() == 1 && bias.cols() == d, "layer_norm: bad bias shape");
 
   // Cache normalised activations and inverse stddevs for the backward pass.
-  auto xhat = std::make_shared<Matrix>(n, d);
+  auto xhat = std::make_shared<Matrix>(Matrix::uninitialized(n, d));
   auto inv_std = std::make_shared<std::vector<double>>(static_cast<size_t>(n));
-  Matrix out(n, d);
+  const double* gamma = gain.value().data();
+  const double* beta = bias.value().data();
+  Matrix out = Matrix::uninitialized(n, d);
   for (int r = 0; r < n; ++r) {
+    const double* x = a.value().row(r);
     double mean = 0.0;
-    for (int c = 0; c < d; ++c) mean += a.value().at(r, c);
+    for (int c = 0; c < d; ++c) mean += x[c];
     mean /= d;
     double var = 0.0;
     for (int c = 0; c < d; ++c) {
-      const double diff = a.value().at(r, c) - mean;
+      const double diff = x[c] - mean;
       var += diff * diff;
     }
     var /= d;
     const double istd = 1.0 / std::sqrt(var + epsilon);
     (*inv_std)[static_cast<size_t>(r)] = istd;
+    double* xh = xhat->row(r);
+    double* y = out.row(r);
     for (int c = 0; c < d; ++c) {
-      const double norm = (a.value().at(r, c) - mean) * istd;
-      xhat->at(r, c) = norm;
-      out.at(r, c) = gain.value().at(0, c) * norm + bias.value().at(0, c);
+      const double norm = (x[c] - mean) * istd;
+      xh[c] = norm;
+      y[c] = gamma[c] * norm + beta[c];
     }
   }
 
   return record(std::move(out), {a, gain, bias},
                 [a, gain, bias, xhat, inv_std](VarData& node) {
                   const int n2 = node.value.rows(), d2 = node.value.cols();
+                  const double* gamma2 = gain.value().data();
                   if (gain.data()->requires_grad) {
-                    Matrix& gg = gain.data()->ensure_grad();
+                    double* gg = gain.data()->ensure_grad().data();
                     for (int r = 0; r < n2; ++r) {
-                      for (int c = 0; c < d2; ++c) {
-                        gg.at(0, c) += node.grad.at(r, c) * xhat->at(r, c);
-                      }
+                      const double* grad = node.grad.row(r);
+                      const double* xh = xhat->row(r);
+                      for (int c = 0; c < d2; ++c) gg[c] += grad[c] * xh[c];
                     }
                   }
                   if (bias.data()->requires_grad) {
-                    Matrix& bg = bias.data()->ensure_grad();
-                    for (int r = 0; r < n2; ++r) {
-                      for (int c = 0; c < d2; ++c) bg.at(0, c) += node.grad.at(r, c);
-                    }
+                    double* bg = bias.data()->ensure_grad().data();
+                    for (int r = 0; r < n2; ++r) simd::add(bg, node.grad.row(r), d2);
                   }
                   if (a.data()->requires_grad) {
                     Matrix& ag = a.data()->ensure_grad();
                     for (int r = 0; r < n2; ++r) {
+                      const double* grad = node.grad.row(r);
+                      const double* xh = xhat->row(r);
+                      double* dst = ag.row(r);
                       // dxhat = dy * gain
                       double sum_dxhat = 0.0, sum_dxhat_xhat = 0.0;
                       for (int c = 0; c < d2; ++c) {
-                        const double dxh = node.grad.at(r, c) * gain.value().at(0, c);
+                        const double dxh = grad[c] * gamma2[c];
                         sum_dxhat += dxh;
-                        sum_dxhat_xhat += dxh * xhat->at(r, c);
+                        sum_dxhat_xhat += dxh * xh[c];
                       }
                       const double istd = (*inv_std)[static_cast<size_t>(r)];
                       for (int c = 0; c < d2; ++c) {
-                        const double dxh = node.grad.at(r, c) * gain.value().at(0, c);
-                        ag.at(r, c) += istd * (dxh - sum_dxhat / d2 -
-                                               xhat->at(r, c) * sum_dxhat_xhat / d2);
+                        const double dxh = grad[c] * gamma2[c];
+                        dst[c] += istd * (dxh - sum_dxhat / d2 -
+                                          xh[c] * sum_dxhat_xhat / d2);
                       }
                     }
                   }
@@ -311,7 +332,15 @@ Var Tape::layer_norm_rows(const Var& a, const Var& gain, const Var& bias,
 Var Tape::transpose(const Var& a) {
   return record(a.value().transpose(), {a}, [a](VarData& node) {
     if (!a.data()->requires_grad) return;
-    a.data()->ensure_grad().add_in_place(node.grad.transpose());
+    // g += grad^T, element by element.
+    Matrix& g = a.data()->ensure_grad();
+    const int n = g.rows(), d = g.cols();
+    for (int r = 0; r < n; ++r) {
+      double* dst = g.row(r);
+      for (int c = 0; c < d; ++c) {
+        dst[c] += node.grad.data()[static_cast<size_t>(c) * n + r];
+      }
+    }
   });
 }
 
@@ -323,13 +352,13 @@ Var Tape::concat_cols(const std::vector<Var>& parts) {
     check(p.rows() == n, "concat_cols: row mismatch");
     total_cols += p.cols();
   }
-  Matrix out(n, total_cols);
-  int offset = 0;
-  for (const Var& p : parts) {
-    for (int r = 0; r < n; ++r) {
-      for (int c = 0; c < p.cols(); ++c) out.at(r, offset + c) = p.value().at(r, c);
+  Matrix out = Matrix::uninitialized(n, total_cols);
+  for (int r = 0; r < n; ++r) {
+    double* dst = out.row(r);
+    for (const Var& p : parts) {
+      simd::copy(dst, p.value().row(r), p.cols());
+      dst += p.cols();
     }
-    offset += p.cols();
   }
   return record(std::move(out), parts, [parts](VarData& node) {
     int off = 0;
@@ -337,7 +366,7 @@ Var Tape::concat_cols(const std::vector<Var>& parts) {
       if (p.data()->requires_grad) {
         Matrix& g = p.data()->ensure_grad();
         for (int r = 0; r < g.rows(); ++r) {
-          for (int c = 0; c < g.cols(); ++c) g.at(r, c) += node.grad.at(r, off + c);
+          simd::add(g.row(r), node.grad.row(r) + off, g.cols());
         }
       }
       off += p.cols();
@@ -347,35 +376,32 @@ Var Tape::concat_cols(const std::vector<Var>& parts) {
 
 Var Tape::slice_cols(const Var& a, int start, int count) {
   check(start >= 0 && count > 0 && start + count <= a.cols(), "slice_cols: bad range");
-  Matrix out(a.rows(), count);
+  Matrix out = Matrix::uninitialized(a.rows(), count);
   for (int r = 0; r < a.rows(); ++r) {
-    for (int c = 0; c < count; ++c) out.at(r, c) = a.value().at(r, start + c);
+    simd::copy(out.row(r), a.value().row(r) + start, count);
   }
   return record(std::move(out), {a}, [a, start](VarData& node) {
     if (!a.data()->requires_grad) return;
     Matrix& g = a.data()->ensure_grad();
     for (int r = 0; r < node.grad.rows(); ++r) {
-      for (int c = 0; c < node.grad.cols(); ++c) g.at(r, start + c) += node.grad.at(r, c);
+      simd::add(g.row(r) + start, node.grad.row(r), node.grad.cols());
     }
   });
 }
 
 Var Tape::gather_rows(const Var& a, const std::vector<int>& indices) {
-  Matrix out(static_cast<int>(indices.size()), a.cols());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    const int src = indices[i];
+  const int n = static_cast<int>(indices.size()), d = a.cols();
+  Matrix out = Matrix::uninitialized(n, d);
+  for (int i = 0; i < n; ++i) {
+    const int src = indices[static_cast<size_t>(i)];
     check(src >= 0 && src < a.rows(), "gather_rows: index out of range");
-    for (int c = 0; c < a.cols(); ++c) {
-      out.at(static_cast<int>(i), c) = a.value().at(src, c);
-    }
+    simd::copy(out.row(i), a.value().row(src), d);
   }
   return record(std::move(out), {a}, [a, indices](VarData& node) {
     if (!a.data()->requires_grad) return;
     Matrix& g = a.data()->ensure_grad();
     for (size_t i = 0; i < indices.size(); ++i) {
-      for (int c = 0; c < g.cols(); ++c) {
-        g.at(indices[i], c) += node.grad.at(static_cast<int>(i), c);
-      }
+      simd::add(g.row(indices[i]), node.grad.row(static_cast<int>(i)), g.cols());
     }
   });
 }
@@ -383,21 +409,18 @@ Var Tape::gather_rows(const Var& a, const std::vector<int>& indices) {
 Var Tape::segment_sum_rows(const Var& a, const std::vector<int>& segments,
                            int segment_count) {
   check(static_cast<int>(segments.size()) == a.rows(), "segment_sum_rows: size mismatch");
-  Matrix out(segment_count, a.cols());
+  const int d = a.cols();
+  Matrix out(segment_count, d);
   for (size_t e = 0; e < segments.size(); ++e) {
     const int s = segments[e];
     check(s >= 0 && s < segment_count, "segment_sum_rows: bad segment");
-    for (int c = 0; c < a.cols(); ++c) {
-      out.at(s, c) += a.value().at(static_cast<int>(e), c);
-    }
+    simd::add(out.row(s), a.value().row(static_cast<int>(e)), d);
   }
   return record(std::move(out), {a}, [a, segments](VarData& node) {
     if (!a.data()->requires_grad) return;
     Matrix& g = a.data()->ensure_grad();
     for (size_t e = 0; e < segments.size(); ++e) {
-      for (int c = 0; c < g.cols(); ++c) {
-        g.at(static_cast<int>(e), c) += node.grad.at(segments[e], c);
-      }
+      simd::add(g.row(static_cast<int>(e)), node.grad.row(segments[e]), g.cols());
     }
   });
 }
@@ -411,11 +434,10 @@ Var Tape::segment_mean_rows(const Var& a, const std::vector<int>& segments,
   }
   const Var sums = segment_sum_rows(a, segments, segment_count);
   // Scale each row by 1/count using mul_col_broadcast with a constant column.
-  Matrix inv(segment_count, 1);
+  Matrix inv = Matrix::uninitialized(segment_count, 1);
   for (int s = 0; s < segment_count; ++s) {
-    inv.at(s, 0) = counts[static_cast<size_t>(s)] > 0.0
-                       ? 1.0 / counts[static_cast<size_t>(s)]
-                       : 0.0;
+    const double count = counts[static_cast<size_t>(s)];
+    inv.data()[s] = count > 0.0 ? 1.0 / count : 0.0;
   }
   return mul_col_broadcast(sums, leaf(std::move(inv), false));
 }
@@ -424,59 +446,61 @@ Var Tape::segment_softmax(const Var& a, const std::vector<int>& segments,
                           int segment_count) {
   check(static_cast<int>(segments.size()) == a.rows(), "segment_softmax: size mismatch");
   const int h = a.cols();
-  Matrix out = a.value();
   // Max per (segment, column) for numerical stability.
   Matrix seg_max(segment_count, h, -1e300);
   for (size_t e = 0; e < segments.size(); ++e) {
     const int s = segments[e];
     check(s >= 0 && s < segment_count, "segment_softmax: bad segment");
-    for (int c = 0; c < h; ++c) {
-      seg_max.at(s, c) = std::max(seg_max.at(s, c), out.at(static_cast<int>(e), c));
-    }
+    const double* x = a.value().row(static_cast<int>(e));
+    double* m = seg_max.row(s);
+    for (int c = 0; c < h; ++c) m[c] = std::max(m[c], x[c]);
   }
+  Matrix out = Matrix::uninitialized(a.rows(), h);
   Matrix seg_sum(segment_count, h);
   for (size_t e = 0; e < segments.size(); ++e) {
+    const double* x = a.value().row(static_cast<int>(e));
+    const double* m = seg_max.row(segments[e]);
+    double* total = seg_sum.row(segments[e]);
+    double* p = out.row(static_cast<int>(e));
     for (int c = 0; c < h; ++c) {
-      double& v = out.at(static_cast<int>(e), c);
-      v = std::exp(v - seg_max.at(segments[e], c));
-      seg_sum.at(segments[e], c) += v;
+      p[c] = std::exp(x[c] - m[c]);
+      total[c] += p[c];
     }
   }
   for (size_t e = 0; e < segments.size(); ++e) {
-    for (int c = 0; c < h; ++c) {
-      out.at(static_cast<int>(e), c) /= seg_sum.at(segments[e], c);
-    }
+    const double* total = seg_sum.row(segments[e]);
+    double* p = out.row(static_cast<int>(e));
+    for (int c = 0; c < h; ++c) p[c] /= total[c];
   }
   return record(std::move(out), {a}, [a, segments, segment_count](VarData& node) {
     if (!a.data()->requires_grad) return;
-    const Matrix& p = node.value;
-    const int cols = p.cols();
+    const int cols = node.value.cols();
     // dot[s, c] = sum over e in s of grad * p
     Matrix dot(segment_count, cols);
     for (size_t e = 0; e < segments.size(); ++e) {
-      for (int c = 0; c < cols; ++c) {
-        dot.at(segments[e], c) += node.grad.at(static_cast<int>(e), c) *
-                                  p.at(static_cast<int>(e), c);
-      }
+      const double* grad = node.grad.row(static_cast<int>(e));
+      const double* p = node.value.row(static_cast<int>(e));
+      double* acc = dot.row(segments[e]);
+      for (int c = 0; c < cols; ++c) acc[c] += grad[c] * p[c];
     }
     Matrix& g = a.data()->ensure_grad();
     for (size_t e = 0; e < segments.size(); ++e) {
-      for (int c = 0; c < cols; ++c) {
-        g.at(static_cast<int>(e), c) +=
-            p.at(static_cast<int>(e), c) *
-            (node.grad.at(static_cast<int>(e), c) - dot.at(segments[e], c));
-      }
+      const double* grad = node.grad.row(static_cast<int>(e));
+      const double* p = node.value.row(static_cast<int>(e));
+      const double* acc = dot.row(segments[e]);
+      double* dst = g.row(static_cast<int>(e));
+      for (int c = 0; c < cols; ++c) dst[c] += p[c] * (grad[c] - acc[c]);
     }
   });
 }
 
 Var Tape::sum_all(const Var& a) {
-  Matrix out(1, 1);
-  out.at(0, 0) = a.value().sum();
+  Matrix out = Matrix::uninitialized(1, 1);
+  out.data()[0] = a.value().sum();
   return record(std::move(out), {a}, [a](VarData& node) {
     if (!a.data()->requires_grad) return;
     Matrix& g = a.data()->ensure_grad();
-    const double d = node.grad.at(0, 0);
+    const double d = node.grad.data()[0];
     for (int64_t i = 0; i < g.size(); ++i) g.data()[i] += d;
   });
 }
@@ -488,17 +512,17 @@ Var Tape::mean_all(const Var& a) {
 
 Var Tape::pick_per_row(const Var& a, const std::vector<int>& columns) {
   check(static_cast<int>(columns.size()) == a.rows(), "pick_per_row: size mismatch");
-  Matrix out(a.rows(), 1);
+  Matrix out = Matrix::uninitialized(a.rows(), 1);
   for (int r = 0; r < a.rows(); ++r) {
     const int c = columns[static_cast<size_t>(r)];
     check(c >= 0 && c < a.cols(), "pick_per_row: column out of range");
-    out.at(r, 0) = a.value().at(r, c);
+    out.data()[r] = a.value().row(r)[c];
   }
   return record(std::move(out), {a}, [a, columns](VarData& node) {
     if (!a.data()->requires_grad) return;
     Matrix& g = a.data()->ensure_grad();
     for (int r = 0; r < g.rows(); ++r) {
-      g.at(r, columns[static_cast<size_t>(r)]) += node.grad.at(r, 0);
+      g.row(r)[columns[static_cast<size_t>(r)]] += node.grad.data()[r];
     }
   });
 }
@@ -512,6 +536,16 @@ void Tape::backward(const Var& loss) {
     if (node.backward && node.grad.rows() == node.value.rows() &&
         node.grad.cols() == node.value.cols()) {
       node.backward();
+    }
+    // Every consumer of this node came later on the tape and is done, so
+    // the sweep needs nothing more from it: drop its links to its inputs,
+    // and, unless a caller still holds it, its buffers, which the ops
+    // still ahead of the sweep then reuse instead of fresh pages.
+    node.backward = nullptr;
+    node.inputs.clear();
+    if (it->use_count() == 1) {
+      node.value = Matrix();
+      node.grad = Matrix();
     }
   }
 }

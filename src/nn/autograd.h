@@ -7,7 +7,8 @@
 // gather/segment ops that realise sparse graph attention over edge lists.
 //
 // Every op's gradient is exercised by numerical-difference property tests in
-// tests/nn_test.cpp.
+// tests/nn_test.cpp, and every op's value and input gradients are compared
+// bitwise with naive reference loops in tests/nn_kernel_test.cpp.
 #pragma once
 
 #include <functional>
@@ -115,7 +116,9 @@ class Tape {
   /// out[i] = a[i, columns[i]] as an [n x 1] matrix.
   Var pick_per_row(const Var& a, const std::vector<int>& columns);
 
-  /// Back-propagates from a 1x1 loss through every recorded op.
+  /// Back-propagates from a 1x1 loss through every recorded op, once per
+  /// tape. As the sweep passes an op it drops the op's links to its inputs
+  /// and, when no caller holds the op's Var, the op's value and gradient.
   void backward(const Var& loss);
 
   /// Number of recorded non-leaf ops (diagnostics).

@@ -135,8 +135,7 @@ const FaultInjector::StepMeasurement& FaultInjector::measure(
   return it->second;
 }
 
-health::Observation FaultInjector::attempt_step(int step, int attempt,
-                                                bool transients_active) {
+health::Observation FaultInjector::attempt_step(int step, int attempt) {
   const faults::FaultScaling scaling = faults::scaling_at(plan_, cluster_, step);
 
   health::Observation obs;
@@ -168,19 +167,17 @@ health::Observation FaultInjector::attempt_step(int step, int attempt,
   // Transient hiccup: the first failed_attempts tries at the onset step
   // abort with an exception attributed to the raising device (the lowest id
   // when several are active, mirroring "first rank to throw wins").
-  if (transients_active) {
-    cluster::DeviceId error_device = -1;
-    for (const auto& event : plan_.events) {
-      if (event.kind != faults::FaultKind::kTransient || event.onset_step != step ||
-          event.failed_attempts <= attempt) {
-        continue;
-      }
-      if (error_device < 0 || event.device < error_device) error_device = event.device;
+  cluster::DeviceId error_device = -1;
+  for (const auto& event : plan_.events) {
+    if (event.kind != faults::FaultKind::kTransient || event.onset_step != step ||
+        event.failed_attempts <= attempt) {
+      continue;
     }
-    if (error_device >= 0) {
-      obs.error_device = error_device;
-      return obs;
-    }
+    if (error_device < 0 || event.device < error_device) error_device = event.device;
+  }
+  if (error_device >= 0) {
+    obs.error_device = error_device;
+    return obs;
   }
 
   const StepMeasurement& m = measure(scaling);

@@ -54,10 +54,7 @@ class FaultInjector {
   /// attribution — heartbeats are the only signal); otherwise a transient
   /// event with failed_attempts > attempt aborts it with an attributed
   /// error; otherwise it completes with measured timings.
-  /// `transients_active` = false suppresses transient errors (the runner
-  /// already retried through this step before a re-plan re-entered it).
-  health::Observation attempt_step(int step, int attempt,
-                                   bool transients_active = true);
+  health::Observation attempt_step(int step, int attempt);
 
   /// Memoised simulation of the active graph under `scaling` (attempt_step
   /// and the oracle detector share it, so their arithmetic is identical).

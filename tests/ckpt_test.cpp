@@ -398,6 +398,42 @@ TEST(Resume, ShutdownStopsTheMonitorDetectorRunResumably) {
   check_shutdown_and_resume(/*monitor=*/true);
 }
 
+/// A run that loses every device stops inside that step, incomplete, with
+/// its watermark at the step. Under either detector, resume_run replays up
+/// to the watermark, runs the step again and stops the same way, leaving the
+/// journal as it found it.
+void check_resume_after_total_failure(bool monitor) {
+  HeteroGConfig config = fast_config();
+  config.health.enabled = monitor;
+  const cluster::ClusterSpec cluster = cluster::make_fig3_testbed();
+  const DistRunner runner = get_runner(toy_model, cluster, config);
+  faults::FaultPlan plan;
+  for (int d = 0; d < cluster.device_count(); ++d) {
+    plan.events.push_back(device_failure(d, 2));
+  }
+
+  TempDir dir(std::string("total_failure_") + (monitor ? "monitor" : "oracle"));
+  const RunStats stopped = runner.run(8, plan, opts(dir.str(), 1));
+  EXPECT_FALSE(stopped.completed);
+  EXPECT_EQ(stopped.step_ms.size(), 2u);
+  const std::string path = (dir.path() / "journal.heterog").string();
+  const std::string journal = ckpt::to_text(ckpt::load_journal(path));
+  EXPECT_EQ(ckpt::load_journal(path).watermark, 2);
+
+  const RunStats resumed = resume_run(path, toy_model);
+  EXPECT_FALSE(resumed.completed);
+  EXPECT_TRUE(resumed.step_ms.empty());
+  EXPECT_EQ(ckpt::to_text(ckpt::load_journal(path)), journal);
+}
+
+TEST(Resume, TotalFailureStopsTheOracleDetectorResumeAgain) {
+  check_resume_after_total_failure(/*monitor=*/false);
+}
+
+TEST(Resume, TotalFailureStopsTheMonitorDetectorResumeAgain) {
+  check_resume_after_total_failure(/*monitor=*/true);
+}
+
 TEST(Resume, SigkillAtArbitraryInstant) {
   // The real thing: fork a child that executes a checkpointed fault-aware
   // run (a short sleep per snapshot widens the kill window), SIGKILL it at
