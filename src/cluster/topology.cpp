@@ -1,12 +1,11 @@
 #include "cluster/topology.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/rng.h"
 
 namespace heterog::cluster {
@@ -14,210 +13,18 @@ namespace heterog::cluster {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader (same hand-rolled recursive-descent shape as the
-// FaultPlan loader in src/faults/fault_json.cpp — the schema is small enough
-// that a private parser is the honest cost of keeping the container free of
-// a JSON dependency).
+// Schema plumbing over the shared reader in common/json.h.
 
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after JSON value");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw TopoSpecError("topology spec JSON: " + why + " (at offset " +
-                        std::to_string(pos_) + ")");
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    // Depth cap: a crafted file of nothing but '[' must fail typed, not
-    // overflow the stack.
-    if (depth_ >= 256) fail("nesting too deep");
-    ++depth_;
-    JsonValue v = parse_value_inner();
-    --depth_;
-    return v;
-  }
-
-  JsonValue parse_value_inner() {
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return parse_string();
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) return parse_number();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      JsonValue v;
-      v.type = JsonValue::Type::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      JsonValue v;
-      v.type = JsonValue::Type::kBool;
-      return v;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return JsonValue{};
-    }
-    fail("unexpected character");
-  }
-
-  JsonValue parse_object() {
-    JsonValue v;
-    v.type = JsonValue::Type::kObject;
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      JsonValue key = parse_string();
-      expect(':');
-      v.object[key.str] = parse_value();
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  JsonValue parse_array() {
-    JsonValue v;
-    v.type = JsonValue::Type::kArray;
-    expect('[');
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-  }
-
-  JsonValue parse_string() {
-    JsonValue v;
-    v.type = JsonValue::Type::kString;
-    expect('"');
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-          case '\\':
-          case '/':
-            c = esc;
-            break;
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case 'r':
-            c = '\r';
-            break;
-          default:
-            fail("unsupported escape sequence");
-        }
-      }
-      v.str.push_back(c);
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return v;
-  }
-
-  JsonValue parse_number() {
-    skip_ws();
-    const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    JsonValue v;
-    v.type = JsonValue::Type::kNumber;
-    try {
-      v.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      pos_ = start;
-      fail("malformed number");
-    }
-    return v;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  int depth_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Schema plumbing.
-
-/// %.17g round-trips doubles exactly (same convention as the fault-plan and
-/// fingerprint serialisers).
-std::string json_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return std::string(buf);
-}
-
-double get_number(const JsonValue& obj, const std::string& key, double fallback) {
+double get_number(const json::Value& obj, const std::string& key, double fallback) {
   const auto it = obj.object.find(key);
   if (it == obj.object.end()) return fallback;
-  if (it->second.type != JsonValue::Type::kNumber) {
+  if (it->second.type != json::Value::Type::kNumber) {
     throw TopoSpecError("topology spec: field \"" + key + "\" must be a number");
   }
   return it->second.number;
 }
 
-int get_int(const JsonValue& obj, const std::string& key, int fallback) {
+int get_int(const json::Value& obj, const std::string& key, int fallback) {
   const double d = get_number(obj, key, fallback);
   // Integrality and range both matter: casting an out-of-int-range double is
   // undefined behaviour, not just a wrong value.
@@ -227,7 +34,7 @@ int get_int(const JsonValue& obj, const std::string& key, int fallback) {
   return static_cast<int>(d);
 }
 
-uint64_t get_seed(const JsonValue& obj, const std::string& key, uint64_t fallback) {
+uint64_t get_seed(const json::Value& obj, const std::string& key, uint64_t fallback) {
   const double d = get_number(obj, key, static_cast<double>(fallback));
   // Seeds must survive the JSON double round trip exactly: cap at 2^53.
   if (d != std::floor(d) || d < 0.0 || d > 9007199254740992.0) {
@@ -237,17 +44,17 @@ uint64_t get_seed(const JsonValue& obj, const std::string& key, uint64_t fallbac
   return static_cast<uint64_t>(d);
 }
 
-std::map<std::string, double> get_mix(const JsonValue& obj, const std::string& key,
+std::map<std::string, double> get_mix(const json::Value& obj, const std::string& key,
                                       const std::map<std::string, double>& fallback) {
   const auto it = obj.object.find(key);
   if (it == obj.object.end()) return fallback;
-  if (it->second.type != JsonValue::Type::kObject) {
+  if (it->second.type != json::Value::Type::kObject) {
     throw TopoSpecError("topology spec: field \"" + key +
                         "\" must be an object of name -> weight");
   }
   std::map<std::string, double> mix;
   for (const auto& [name, weight] : it->second.object) {
-    if (weight.type != JsonValue::Type::kNumber) {
+    if (weight.type != json::Value::Type::kNumber) {
       throw TopoSpecError("topology spec: weight of \"" + name + "\" in \"" + key +
                           "\" must be a number");
     }
@@ -263,7 +70,7 @@ void emit_mix(std::ostringstream& os, const char* key,
   for (const auto& [name, weight] : mix) {
     if (!first) os << ", ";
     first = false;
-    os << "\"" << name << "\": " << json_number(weight);
+    os << "\"" << name << "\": " << json::number(weight);
   }
   os << "}";
 }
@@ -407,8 +214,8 @@ std::string topo_gen_to_json(const TopoGenOptions& options) {
   os << ", \"racks\": " << options.racks;
   os << ", \"hosts_per_rack\": " << options.hosts_per_rack;
   os << ", \"gpus_per_host\": " << options.gpus_per_host;
-  os << ", \"tor_gbps\": " << json_number(options.tor_gbps);
-  os << ", \"oversubscription\": " << json_number(options.oversubscription);
+  os << ", \"tor_gbps\": " << json::number(options.tor_gbps);
+  os << ", \"oversubscription\": " << json::number(options.oversubscription);
   os << ", \"racks_per_pod\": " << options.racks_per_pod;
   os << ", ";
   emit_mix(os, "gpu_mix", options.gpu_mix);
@@ -421,9 +228,13 @@ std::string topo_gen_to_json(const TopoGenOptions& options) {
 }
 
 TopoGenOptions parse_topo_gen_json(const std::string& text) {
-  JsonParser parser(text);
-  const JsonValue root = parser.parse();
-  if (root.type != JsonValue::Type::kObject) {
+  json::Value root;
+  try {
+    root = json::parse(text);
+  } catch (const json::ParseError& e) {
+    throw TopoSpecError(std::string("topology spec JSON: ") + e.what());
+  }
+  if (root.type != json::Value::Type::kObject) {
     throw TopoSpecError("topology spec: top level must be a JSON object");
   }
   for (const auto& [key, value] : root.object) {
@@ -460,12 +271,12 @@ TopoGenOptions load_topo_gen_options(const std::string& path) {
 
 std::string cluster_to_json(const ClusterSpec& cluster) {
   std::ostringstream os;
-  os << "{\"switch_gbps\": " << json_number(cluster.switch_gbps());
+  os << "{\"switch_gbps\": " << json::number(cluster.switch_gbps());
   os << ", \"hosts\": [";
   for (const auto& h : cluster.hosts()) {
     if (h.id) os << ", ";
-    os << "{\"id\": " << h.id << ", \"nic_gbps\": " << json_number(h.nic_gbps)
-       << ", \"intra_gbps\": " << json_number(h.intra_gbps);
+    os << "{\"id\": " << h.id << ", \"nic_gbps\": " << json::number(h.nic_gbps)
+       << ", \"intra_gbps\": " << json::number(h.intra_gbps);
     if (cluster.has_topology()) {
       os << ", \"rack\": " << cluster.topology().rack_of_host[static_cast<size_t>(h.id)];
     }
@@ -476,7 +287,7 @@ std::string cluster_to_json(const ClusterSpec& cluster) {
     if (d.id) os << ", ";
     os << "{\"id\": " << d.id << ", \"host\": " << d.host << ", \"model\": \""
        << gpu_model_name(d.model) << "\", \"gflops_per_ms\": "
-       << json_number(d.gflops_per_ms) << ", \"memory_bytes\": " << d.memory_bytes
+       << json::number(d.gflops_per_ms) << ", \"memory_bytes\": " << d.memory_bytes
        << "}";
   }
   os << "], \"link_scales\": [";
@@ -484,16 +295,16 @@ std::string cluster_to_json(const ClusterSpec& cluster) {
   for (const auto& [pair, scale] : cluster.host_link_scales()) {
     if (!first) os << ", ";
     first = false;
-    os << "[" << pair.first << ", " << pair.second << ", " << json_number(scale) << "]";
+    os << "[" << pair.first << ", " << pair.second << ", " << json::number(scale) << "]";
   }
   os << "]";
   if (cluster.has_topology()) {
     const TopologySpec& topo = cluster.topology();
-    os << ", \"topology\": {\"tor_gbps\": " << json_number(topo.tor_gbps)
+    os << ", \"topology\": {\"tor_gbps\": " << json::number(topo.tor_gbps)
        << ", \"tiers\": [";
     for (size_t t = 0; t < topo.tiers.size(); ++t) {
       if (t) os << ", ";
-      os << "[" << json_number(topo.tiers[t].gbps) << ", " << topo.tiers[t].group_size
+      os << "[" << json::number(topo.tiers[t].gbps) << ", " << topo.tiers[t].group_size
          << "]";
     }
     os << "]";
@@ -506,7 +317,7 @@ std::string cluster_to_json(const ClusterSpec& cluster) {
         if (!first_sw) os << ", ";
         first_sw = false;
         os << "[" << coord.first << ", " << coord.second << ", "
-           << json_number(scale) << "]";
+           << json::number(scale) << "]";
       }
       os << "]";
     }

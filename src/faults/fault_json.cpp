@@ -1,210 +1,30 @@
-// Minimal JSON reader for FaultPlan files (schema in faults.h). Hand-rolled
-// recursive descent — the container bakes no JSON dependency in, and the
-// schema is small enough that a ~150-line parser is the honest cost.
-#include <cctype>
+// FaultPlan JSON loader and writer (schema in faults.h), over the shared
+// reader in common/json.h.
 #include <cmath>
 #include <fstream>
-#include <map>
 #include <sstream>
 
+#include "common/json.h"
 #include "faults/faults.h"
 
 namespace heterog::faults {
 
 namespace {
 
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after JSON value");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw FaultPlanError("fault plan JSON: " + why + " (at offset " +
-                         std::to_string(pos_) + ")");
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    // Depth cap: a crafted file of nothing but '[' must fail typed, not
-    // overflow the stack.
-    if (depth_ >= 256) fail("nesting too deep");
-    ++depth_;
-    JsonValue v = parse_value_inner();
-    --depth_;
-    return v;
-  }
-
-  JsonValue parse_value_inner() {
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return parse_string();
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) return parse_number();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      JsonValue v;
-      v.type = JsonValue::Type::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      JsonValue v;
-      v.type = JsonValue::Type::kBool;
-      return v;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return JsonValue{};
-    }
-    fail("unexpected character");
-  }
-
-  JsonValue parse_object() {
-    JsonValue v;
-    v.type = JsonValue::Type::kObject;
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      JsonValue key = parse_string();
-      expect(':');
-      v.object[key.str] = parse_value();
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  JsonValue parse_array() {
-    JsonValue v;
-    v.type = JsonValue::Type::kArray;
-    expect('[');
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-  }
-
-  JsonValue parse_string() {
-    JsonValue v;
-    v.type = JsonValue::Type::kString;
-    expect('"');
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-          case '\\':
-          case '/':
-            c = esc;
-            break;
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case 'r':
-            c = '\r';
-            break;
-          default:
-            fail("unsupported escape sequence");
-        }
-      }
-      v.str.push_back(c);
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return v;
-  }
-
-  JsonValue parse_number() {
-    skip_ws();
-    const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    JsonValue v;
-    v.type = JsonValue::Type::kNumber;
-    try {
-      v.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      pos_ = start;
-      fail("malformed number");
-    }
-    return v;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  int depth_ = 0;
-};
-
-double get_number(const JsonValue& obj, const std::string& key, double fallback,
+double get_number(const json::Value& obj, const std::string& key, double fallback,
                   bool required = false) {
   const auto it = obj.object.find(key);
   if (it == obj.object.end()) {
     if (required) throw FaultPlanError("fault plan: missing field \"" + key + "\"");
     return fallback;
   }
-  if (it->second.type != JsonValue::Type::kNumber) {
+  if (it->second.type != json::Value::Type::kNumber) {
     throw FaultPlanError("fault plan: field \"" + key + "\" must be a number");
   }
   return it->second.number;
 }
 
-int get_int(const JsonValue& obj, const std::string& key, int fallback,
+int get_int(const json::Value& obj, const std::string& key, int fallback,
             bool required = false) {
   const double d = get_number(obj, key, fallback, required);
   // The range check matters as much as the integrality check: casting an
@@ -215,12 +35,12 @@ int get_int(const JsonValue& obj, const std::string& key, int fallback,
   return static_cast<int>(d);
 }
 
-FaultEvent parse_event(const JsonValue& obj) {
-  if (obj.type != JsonValue::Type::kObject) {
+FaultEvent parse_event(const json::Value& obj) {
+  if (obj.type != json::Value::Type::kObject) {
     throw FaultPlanError("fault plan: each fault must be a JSON object");
   }
   const auto kind_it = obj.object.find("kind");
-  if (kind_it == obj.object.end() || kind_it->second.type != JsonValue::Type::kString) {
+  if (kind_it == obj.object.end() || kind_it->second.type != json::Value::Type::kString) {
     throw FaultPlanError("fault plan: fault missing string field \"kind\"");
   }
   const std::string& kind = kind_it->second.str;
@@ -265,15 +85,19 @@ FaultEvent parse_event(const JsonValue& obj) {
 }  // namespace
 
 FaultPlan parse_fault_plan_json(const std::string& text) {
-  JsonParser parser(text);
-  const JsonValue root = parser.parse();
+  json::Value root;
+  try {
+    root = json::parse(text);
+  } catch (const json::ParseError& e) {
+    throw FaultPlanError(std::string("fault plan JSON: ") + e.what());
+  }
 
-  const JsonValue* list = nullptr;
-  if (root.type == JsonValue::Type::kArray) {
+  const json::Value* list = nullptr;
+  if (root.type == json::Value::Type::kArray) {
     list = &root;
-  } else if (root.type == JsonValue::Type::kObject) {
+  } else if (root.type == json::Value::Type::kObject) {
     const auto it = root.object.find("faults");
-    if (it == root.object.end() || it->second.type != JsonValue::Type::kArray) {
+    if (it == root.object.end() || it->second.type != json::Value::Type::kArray) {
       throw FaultPlanError("fault plan: top-level object needs a \"faults\" array");
     }
     list = &it->second;
@@ -294,19 +118,6 @@ FaultPlan load_fault_plan(const std::string& path) {
   return parse_fault_plan_json(buffer.str());
 }
 
-namespace {
-
-/// %.17g round-trips doubles exactly; the default ostream precision (6
-/// significant digits) does not, and a resumed run re-parsing the journalled
-/// plan would simulate subtly different fault scalings than the original.
-std::string json_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return std::string(buf);
-}
-
-}  // namespace
-
 std::string fault_plan_to_json(const FaultPlan& plan) {
   std::ostringstream os;
   os << "{\"faults\": [";
@@ -319,11 +130,11 @@ std::string fault_plan_to_json(const FaultPlan& plan) {
         os << ", \"device\": " << e.device;
         break;
       case FaultKind::kStraggler:
-        os << ", \"device\": " << e.device << ", \"slowdown\": " << json_number(e.slowdown);
+        os << ", \"device\": " << e.device << ", \"slowdown\": " << json::number(e.slowdown);
         break;
       case FaultKind::kLinkDegradation:
         os << ", \"device_a\": " << e.device_a << ", \"device_b\": " << e.device_b
-           << ", \"bandwidth_factor\": " << json_number(e.bandwidth_factor);
+           << ", \"bandwidth_factor\": " << json::number(e.bandwidth_factor);
         break;
       case FaultKind::kTransient:
         os << ", \"device\": " << e.device
@@ -337,7 +148,7 @@ std::string fault_plan_to_json(const FaultPlan& plan) {
         break;
       case FaultKind::kSwitchDegradation:
         os << ", \"level\": " << e.level << ", \"switch\": " << e.switch_index
-           << ", \"bandwidth_factor\": " << json_number(e.bandwidth_factor);
+           << ", \"bandwidth_factor\": " << json::number(e.bandwidth_factor);
         break;
     }
     os << ", \"onset_step\": " << e.onset_step;

@@ -2,25 +2,12 @@
 
 #include <algorithm>
 
-#include "sim/sim_core.h"
-
 namespace heterog::sim {
 
 namespace {
 
 using compile::DistNodeId;
 using compile::NodeKind;
-
-/// The priorities Simulator::run would compute for `graph` under
-/// `options.policy`. Fault scaling changes durations, so rank priorities are
-/// recomputed per scaled variant — exactly what a from-scratch run does.
-std::vector<double> policy_priorities(const compile::DistGraph& graph,
-                                      const SimOptions& options) {
-  if (options.policy == sched::OrderPolicy::kRankPriority) {
-    return sched::rank_priorities(graph);
-  }
-  return std::vector<double>(static_cast<size_t>(graph.node_count()), 0.0);
-}
 
 /// Smallest link bandwidth factor across all participant host pairs — a
 /// ring/collective runs at the speed of its most degraded segment.
@@ -99,27 +86,15 @@ FaultInjector::FaultInjector(compile::DistGraph graph, cluster::ClusterSpec clus
   plan_.validate(cluster_);
 }
 
-FaultInjector::~FaultInjector() = default;
-
-SimResult FaultInjector::simulate_scaled(const faults::FaultScaling& scaling) {
-  const Simulator simulator(options_);
-  // One baseline of the unscaled active graph, diffed against by every
-  // fault-scaled variant (bit-identical to a full run).
-  if (baseline_ == nullptr || !baseline_->valid) {
-    if (baseline_ == nullptr) baseline_ = std::make_unique<SimBaseline>();
-    simulator.run_baseline(graph_, policy_priorities(graph_, options_), *baseline_);
-  }
-  if (!scaling.any()) return baseline_->result;
-  const compile::DistGraph scaled = apply_fault_scaling(graph_, cluster_, scaling);
-  return simulator.resimulate(scaled, policy_priorities(scaled, options_), *baseline_);
-}
-
 const FaultInjector::StepMeasurement& FaultInjector::measure(
     const faults::FaultScaling& scaling) {
   const std::string key = scaling.signature();
   auto it = memo_.find(key);
   if (it == memo_.end()) {
-    const SimResult result = simulate_scaled(scaling);
+    const Simulator simulator(options_);
+    const SimResult result =
+        scaling.any() ? simulator.run(apply_fault_scaling(graph_, cluster_, scaling))
+                      : simulator.run(graph_);
     StepMeasurement m;
     m.makespan_ms = result.makespan_ms;
     m.device_busy_ms.assign(static_cast<size_t>(cluster_.device_count()), 0.0);
@@ -196,7 +171,6 @@ void FaultInjector::apply_replan(compile::DistGraph graph,
   // longer exists in the re-planned cluster.
   plan_ = faults::remap_plan(plan_, new_id_of, cluster_);
   memo_.clear();
-  baseline_.reset();  // the log describes the replaced graph
   plan_.validate(cluster_);
 }
 

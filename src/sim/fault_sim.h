@@ -9,7 +9,7 @@
 #pragma once
 
 #include <map>
-#include <memory>
+#include <string>
 
 #include "compile/dist_graph.h"
 #include "faults/faults.h"
@@ -47,7 +47,6 @@ class FaultInjector {
 
   FaultInjector(compile::DistGraph graph, cluster::ClusterSpec cluster,
                 faults::FaultPlan plan, SimOptions options);
-  ~FaultInjector();  // out of line: SimBaseline is incomplete here
 
   /// One attempt of `step` (attempt 0 = first try). Outcome precedence:
   /// a failed device the plan uses times the attempt out (no error
@@ -56,8 +55,10 @@ class FaultInjector {
   /// error; otherwise it completes with measured timings.
   health::Observation attempt_step(int step, int attempt);
 
-  /// Memoised simulation of the active graph under `scaling` (attempt_step
-  /// and the oracle detector share it, so their arithmetic is identical).
+  /// Memoised from-scratch simulation of the active graph under `scaling`:
+  /// each distinct fault set (by FaultScaling::signature) simulates once per
+  /// deployment. attempt_step and the oracle detector share it, so their
+  /// arithmetic is identical.
   const StepMeasurement& measure(const faults::FaultScaling& scaling);
 
   /// Swaps in the re-planned graph/cluster and rewrites the plan's device
@@ -71,17 +72,11 @@ class FaultInjector {
   int device_count() const { return cluster_.device_count(); }
 
  private:
-  /// Simulates the active graph under `scaling`: records a baseline of the
-  /// unscaled graph on first use and re-simulates every fault-scaled variant
-  /// incrementally against it (bit-identical to a from-scratch run).
-  SimResult simulate_scaled(const faults::FaultScaling& scaling);
-
   compile::DistGraph graph_;
   cluster::ClusterSpec cluster_;
   faults::FaultPlan plan_;
   SimOptions options_;
   std::map<std::string, StepMeasurement> memo_;  // keyed by scaling signature
-  std::unique_ptr<SimBaseline> baseline_;        // unscaled-graph execution log
 };
 
 }  // namespace heterog::sim

@@ -130,7 +130,7 @@ PlanEvaluation evaluate_plan(const profiler::CostProvider& costs,
       ws.graph.build(graph);
       built_for = &graph;
     }
-    return run_core(ws.graph, priorities, sim_opts, ws, nullptr);
+    return run_core(ws.graph, priorities, sim_opts, ws);
   };
 
   // Single iteration: memory + breakdown + cold makespan.

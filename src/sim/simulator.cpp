@@ -58,22 +58,7 @@ SimResult Simulator::run_with_priorities(const compile::DistGraph& graph,
   validate_for_simulation(graph, &priorities);
   SimWorkspace& ws = thread_workspace();
   ws.graph.build(graph);
-  return run_core(ws.graph, priorities, options_, ws, nullptr);
-}
-
-SimResult Simulator::run_baseline(const compile::DistGraph& graph,
-                                  const std::vector<double>& priorities,
-                                  SimBaseline& baseline) const {
-  validate_for_simulation(graph, &priorities);
-  baseline.graph.build(graph);
-  return run_core(baseline.graph, priorities, options_, thread_workspace(), &baseline);
-}
-
-SimResult Simulator::resimulate(const compile::DistGraph& graph,
-                                const std::vector<double>& priorities,
-                                const SimBaseline& baseline) const {
-  validate_for_simulation(graph, &priorities);
-  return resimulate_core(graph, priorities, options_, baseline, thread_workspace());
+  return run_core(ws.graph, priorities, options_, ws);
 }
 
 void apply_oom_check(SimResult& result, const cluster::ClusterSpec& cluster,

@@ -12,9 +12,9 @@
 //     the Fig. 8 breakdown.
 //
 // The engine is the data-oriented core (sim_core.h — flat SoA state, pooled
-// per-thread workspace, incremental re-simulation). The original per-node
-// priority_queue simulator lives test-side (tests/reference_sim.h) as its
-// differential oracle; the wall is tests/sim_diff_test.cpp.
+// per-thread workspace). The original per-node priority_queue simulator
+// lives test-side (tests/reference_sim.h) as its differential oracle; the
+// wall is tests/sim_diff_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +25,6 @@
 #include "sim/sim_types.h"
 
 namespace heterog::sim {
-
-struct SimBaseline;  // sim_core.h
 
 /// Thread-safety: run()/run_with_priorities() are pure functions of
 /// (options_, graph) — working state lives on the call stack or in a
@@ -42,20 +40,6 @@ class Simulator {
   SimResult run(const compile::DistGraph& graph) const;
   SimResult run_with_priorities(const compile::DistGraph& graph,
                                 const std::vector<double>& priorities) const;
-
-  /// Like run_with_priorities, but records an execution log into `baseline`
-  /// so later deltas of the same graph can be re-simulated incrementally.
-  SimResult run_baseline(const compile::DistGraph& graph,
-                         const std::vector<double>& priorities,
-                         SimBaseline& baseline) const;
-
-  /// Incremental re-simulation of a delta of `baseline`'s graph (scaled
-  /// durations, flipped priorities, a re-compiled strategy...). Bit-identical
-  /// to run_with_priorities on `graph`; reuses the unaffected schedule
-  /// prefix when the delta leaves one, falls back to a full run otherwise.
-  SimResult resimulate(const compile::DistGraph& graph,
-                       const std::vector<double>& priorities,
-                       const SimBaseline& baseline) const;
 
  private:
   SimOptions options_;

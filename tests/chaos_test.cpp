@@ -127,8 +127,9 @@ TEST(Chaos, GeneratorIsDeterministicAndShapeBounded) {
   EXPECT_EQ(faults::fault_plan_to_json(a), faults::fault_plan_to_json(b));
 
   // Shape bounds hold for every seed: event counts respect the per-kind
-  // caps, onsets land inside the run, ids inside the cluster, and at least
-  // min_survivors devices are never failed.
+  // caps, onsets land inside the run, ids inside the cluster, at least
+  // min_survivors devices are never failed, and no domain fault appears
+  // (the flat generator ignores the domain caps).
   for (uint64_t seed = 0; seed < 50; ++seed) {
     SCOPED_TRACE(seed);
     opts.seed = seed;
@@ -158,6 +159,11 @@ TEST(Chaos, GeneratorIsDeterministicAndShapeBounded) {
           ++transients;
           EXPECT_GE(e.failed_attempts, 1);
           EXPECT_LE(e.failed_attempts, opts.max_failed_attempts);
+          break;
+        case faults::FaultKind::kRackFailure:
+        case faults::FaultKind::kSwitchOutage:
+        case faults::FaultKind::kSwitchDegradation:
+          ADD_FAILURE() << "flat schedule carries a domain fault: " << e.describe();
           break;
       }
     }

@@ -203,6 +203,14 @@ TEST(FaultJson, MalformedInputsRejected) {
       faults::FaultPlanError);
   EXPECT_THROW(faults::load_fault_plan("/nonexistent/plan.json"),
                faults::FaultPlanError);
+  // A number must convert in full: read as their longest valid prefix,
+  // these would load as device 1 and slowdown 2.
+  for (const char* text :
+       {R"({"faults": [{"kind": "device_failure", "device": 1-2, "onset_step": 0}]})",
+        R"({"faults": [{"kind": "straggler", "device": 0, "slowdown": 2-0.5,)"
+        R"( "onset_step": 0}]})"}) {
+    EXPECT_THROW(faults::parse_fault_plan_json(text), faults::FaultPlanError) << text;
+  }
 }
 
 // Plan validation -----------------------------------------------------------

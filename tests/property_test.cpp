@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <tuple>
 
@@ -13,7 +12,6 @@
 #include "models/models.h"
 #include "sched/scheduler.h"
 #include "sim/plan_eval.h"
-#include "sim/sim_core.h"
 #include "test_util.h"
 
 namespace heterog {
@@ -287,83 +285,6 @@ TEST(RandomScheduleInvariants, NoResourceOverlapAndMakespanBound) {
                           static_cast<double>(devices) * static_cast<double>(devices);
     EXPECT_LE(result.makespan_ms, factor * lower_bound + 1e-6);
     EXPECT_GE(result.makespan_ms + 1e-6, lower_bound);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Incremental re-simulation property wall: after ANY single StrategyAction
-// flip, re-simulating the re-compiled plan against the *old* plan's baseline
-// must equal a from-scratch simulation byte-exactly — makespan, the full
-// start/finish trace, the per-device peak-memory vector and the OOM flags
-// included. 300 seeded cases across random graphs, groupings, strategies and
-// flip positions on a 4-GPU two-host cluster.
-
-TEST(IncrementalResimProperty, SingleActionFlipMatchesFromScratch) {
-  constexpr int kCases = 300;
-  Rng rng(20260809);
-  heterog::testing::TestRig rig{
-      cluster::make_homogeneous(4, cluster::GpuModel::kGtx1080Ti, 2)};
-  const int devices = rig.cluster.device_count();
-
-  for (int c = 0; c < kCases; ++c) {
-    SCOPED_TRACE("case " + std::to_string(c));
-    const auto graph = random_training_graph(rng, 10000 + c);
-    const auto grouping =
-        strategy::Grouping::build(graph, *rig.costs, rng.uniform_int(2, 8));
-    strategy::StrategyMap map;
-    for (int g = 0; g < grouping.group_count(); ++g) {
-      map.group_actions.push_back(Action::from_index(
-          rng.uniform_int(0, Action::action_count(devices) - 1), devices));
-    }
-    const auto compiled = rig.compiler->compile(graph, grouping, map);
-
-    sim::SimOptions options;  // data-oriented default, memory tracking on
-    options.policy = rng.uniform_int(0, 1) == 0 ? sched::OrderPolicy::kRankPriority
-                                                : sched::OrderPolicy::kFifo;
-    auto priorities_for = [&](const compile::DistGraph& g) {
-      return options.policy == sched::OrderPolicy::kRankPriority
-                 ? sched::rank_priorities(g)
-                 : std::vector<double>(static_cast<size_t>(g.node_count()), 0.0);
-    };
-
-    sim::SimBaseline baseline;
-    sim::Simulator(options).run_baseline(compiled.graph, priorities_for(compiled.graph),
-                                         baseline);
-
-    // Flip exactly one group's action (to a genuinely different one).
-    strategy::StrategyMap flipped = map;
-    const int group = rng.uniform_int(0, grouping.group_count() - 1);
-    Action replacement = flipped.group_actions[static_cast<size_t>(group)];
-    while (replacement.index(devices) ==
-           flipped.group_actions[static_cast<size_t>(group)].index(devices)) {
-      replacement = Action::from_index(
-          rng.uniform_int(0, Action::action_count(devices) - 1), devices);
-    }
-    flipped.group_actions[static_cast<size_t>(group)] = replacement;
-
-    const auto recompiled = rig.compiler->compile(graph, grouping, flipped);
-    const auto priorities = priorities_for(recompiled.graph);
-    auto scratch =
-        sim::Simulator(options).run_with_priorities(recompiled.graph, priorities);
-    auto incremental =
-        sim::Simulator(options).resimulate(recompiled.graph, priorities, baseline);
-    sim::apply_oom_check(scratch, rig.cluster);
-    sim::apply_oom_check(incremental, rig.cluster);
-
-    // Byte-exact equality: memcmp on the double vectors, == on the rest.
-    auto bytes_equal = [](const std::vector<double>& a, const std::vector<double>& b) {
-      return a.size() == b.size() &&
-             (a.empty() ||
-              std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-    };
-    ASSERT_TRUE(bytes_equal({scratch.makespan_ms}, {incremental.makespan_ms}))
-        << scratch.makespan_ms << " vs " << incremental.makespan_ms;
-    ASSERT_TRUE(bytes_equal(scratch.resource_busy_ms, incremental.resource_busy_ms));
-    ASSERT_TRUE(bytes_equal(scratch.start_ms, incremental.start_ms));
-    ASSERT_TRUE(bytes_equal(scratch.finish_ms, incremental.finish_ms));
-    ASSERT_EQ(scratch.peak_memory_bytes, incremental.peak_memory_bytes);
-    ASSERT_EQ(scratch.oom, incremental.oom);
-    ASSERT_EQ(scratch.oom_devices, incremental.oom_devices);
   }
 }
 

@@ -2,11 +2,11 @@
 //
 // The test-side reference simulator (reference_sim.h, the original per-node
 // priority_queue implementation) is the oracle; the library's flat SoA core
-// and its incremental re-simulation path must reproduce it
-// BIT-identically — makespans, busy times, peak-memory vectors and the full
-// start/finish trace are compared with exact (memcmp-grade) equality, never
-// tolerances. Scenarios are seeded and randomized: models × clusters ×
-// policies × fault scalings × single-action strategy deltas.
+// and the fault injector that steps it must reproduce it BIT-identically —
+// makespans, busy times, peak-memory vectors and the full start/finish trace
+// are compared with exact (memcmp-grade) equality, never tolerances.
+// Scenarios are seeded and randomized: models × clusters × policies × fault
+// scalings × single-action strategy deltas.
 //
 // ctest label: simdiff (runs under ASan/UBSan and TSan in CI).
 #include <cstring>
@@ -22,7 +22,6 @@
 #include "profiler/hardware_model.h"
 #include "sched/scheduler.h"
 #include "sim/fault_sim.h"
-#include "sim/sim_core.h"
 #include "sim/simulator.h"
 #include "strategy/strategy.h"
 #include "reference_sim.h"
@@ -32,7 +31,6 @@ namespace heterog {
 namespace {
 
 using sched::OrderPolicy;
-using sim::SimBaseline;
 using sim::SimOptions;
 using sim::SimResult;
 using sim::Simulator;
@@ -106,7 +104,7 @@ faults::FaultScaling random_scaling(std::mt19937& rng, int device_count) {
 }
 
 /// One randomized scenario: compile a (model, cluster, strategy) triple, then
-/// compare reference vs data-oriented vs incremental on the base graph, a
+/// compare the reference with the data-oriented core on the base graph, a
 /// fault-scaled variant, and a single-action strategy delta.
 void run_scenario(int seed, const graph::GraphDef& graph,
                   const testing::TestRig& rig, const std::string& tag) {
@@ -130,29 +128,21 @@ void run_scenario(int seed, const graph::GraphDef& graph,
   const auto priorities = priorities_for(compiled.graph, policy);
   const SimResult oracle = reference_run(compiled.graph, priorities, options);
 
-  // Data-oriented from scratch, baseline recording, and a no-op delta.
   const SimResult data =
       Simulator(options).run_with_priorities(compiled.graph, priorities);
   expect_identical(oracle, data, tag + ": data-oriented");
-  SimBaseline baseline;
-  const SimResult recorded =
-      Simulator(options).run_baseline(compiled.graph, priorities, baseline);
-  expect_identical(oracle, recorded, tag + ": baseline recording");
-  const SimResult noop =
-      Simulator(options).resimulate(compiled.graph, priorities, baseline);
-  expect_identical(oracle, noop, tag + ": no-op delta");
 
   // Fault-scaled delta: durations change, structure does not.
   const faults::FaultScaling scaling = random_scaling(rng, devices);
   const auto scaled = sim::apply_fault_scaling(compiled.graph, rig.cluster, scaling);
   const auto scaled_priorities = priorities_for(scaled, policy);
   const SimResult scaled_oracle = reference_run(scaled, scaled_priorities, options);
-  const SimResult scaled_incremental =
-      Simulator(options).resimulate(scaled, scaled_priorities, baseline);
-  expect_identical(scaled_oracle, scaled_incremental, tag + ": fault delta");
+  const SimResult scaled_data =
+      Simulator(options).run_with_priorities(scaled, scaled_priorities);
+  expect_identical(scaled_oracle, scaled_data, tag + ": fault delta");
 
   // Single-action strategy delta: the re-compiled graph can have a different
-  // node count; resimulate must still match a from-scratch run exactly.
+  // node count.
   strategy::StrategyMap flipped = map;
   const size_t group = rng() % flipped.group_actions.size();
   strategy::Action replacement = random_action(rng, devices);
@@ -161,9 +151,9 @@ void run_scenario(int seed, const graph::GraphDef& graph,
   const auto flipped_priorities = priorities_for(recompiled.graph, policy);
   const SimResult flipped_oracle =
       reference_run(recompiled.graph, flipped_priorities, options);
-  const SimResult flipped_incremental =
-      Simulator(options).resimulate(recompiled.graph, flipped_priorities, baseline);
-  expect_identical(flipped_oracle, flipped_incremental, tag + ": strategy delta");
+  const SimResult flipped_data =
+      Simulator(options).run_with_priorities(recompiled.graph, flipped_priorities);
+  expect_identical(flipped_oracle, flipped_data, tag + ": strategy delta");
 }
 
 /// A small randomized layered training graph: enough structural variety
@@ -238,44 +228,81 @@ TEST(SimDiffTest, PaperModels) {
   }
 }
 
-// The fault injector (memoised, incrementally re-simulated against the
-// unscaled baseline) must agree at every step with a from-scratch reference
-// run of the graph scaled by that step's active fault set.
+// The fault injector (memoised: each distinct fault set simulated once, from
+// scratch) must agree at every step with a from-scratch reference run of the
+// graph scaled by that step's active fault set: under a straggler and a link
+// degradation, and after a re-plan onto the survivors of a device failure,
+// where the remapped faults follow their devices to new ids.
 TEST(SimDiffTest, FaultInjectorPathsAgree) {
   testing::TestRig rig(cluster::make_paper_testbed_8gpu());
   const auto graph = testing::make_toy_training_graph(64.0);
-  const auto compiled = rig.compile_uniform(
-      graph, strategy::Action::dp(strategy::ReplicationMode::kEven,
-                                  strategy::CommMethod::kAllReduce));
+  const auto dp = strategy::Action::dp(strategy::ReplicationMode::kEven,
+                                       strategy::CommMethod::kAllReduce);
+  const auto compiled = rig.compile_uniform(graph, dp);
 
   faults::FaultPlan plan;
-  faults::FaultEvent slow;
+  faults::FaultEvent slow;  // device 2 is device 1 after the re-plan
   slow.kind = faults::FaultKind::kStraggler;
   slow.device = 2;
   slow.onset_step = 1;
+  slow.recovery_step = 5;
   slow.slowdown = 3.0;
   plan.events.push_back(slow);
+  faults::FaultEvent link;  // host 0 <-> host 3, until step 6
+  link.kind = faults::FaultKind::kLinkDegradation;
+  link.device_a = 0;
+  link.device_b = 7;
+  link.onset_step = 2;
+  link.recovery_step = 6;
+  link.bandwidth_factor = 0.4;
+  plan.events.push_back(link);
+  faults::FaultEvent dead;
+  dead.kind = faults::FaultKind::kDeviceFailure;
+  dead.device = 1;
+  dead.onset_step = 4;
+  plan.events.push_back(dead);
 
   SimOptions options;
   sim::FaultInjector injector(compiled.graph, rig.cluster, plan, options);
   // The injector times steps without memory tracking; so does the oracle.
   options.track_memory = false;
-  const auto& resources = compiled.graph.resources();
-  for (int step = 0; step < 4; ++step) {
-    const faults::FaultScaling scaling = faults::scaling_at(plan, rig.cluster, step);
-    const SimResult oracle = reference_run(
-        sim::apply_fault_scaling(compiled.graph, rig.cluster, scaling), options);
-    std::vector<double> oracle_busy(static_cast<size_t>(rig.cluster.device_count()), 0.0);
+  auto expect_step_agrees = [&](int step, const compile::DistGraph& active,
+                                const cluster::ClusterSpec& cluster,
+                                const faults::FaultPlan& active_plan) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const faults::FaultScaling scaling = faults::scaling_at(active_plan, cluster, step);
+    const SimResult oracle =
+        reference_run(sim::apply_fault_scaling(active, cluster, scaling), options);
+    const auto& resources = active.resources();
+    std::vector<double> oracle_busy(static_cast<size_t>(cluster.device_count()), 0.0);
     for (int r = 0; r < static_cast<int>(oracle.resource_busy_ms.size()); ++r) {
-      if (resources.is_gpu_resource(r) && r < rig.cluster.device_count()) {
+      if (resources.is_gpu_resource(r) && r < cluster.device_count()) {
         oracle_busy[static_cast<size_t>(r)] = oracle.resource_busy_ms[static_cast<size_t>(r)];
       }
     }
 
     const auto obs = injector.attempt_step(step, 0);
-    ASSERT_TRUE(obs.completed) << "step " << step;
-    EXPECT_TRUE(bytes_equal({oracle.makespan_ms}, {obs.makespan_ms})) << "step " << step;
-    EXPECT_TRUE(bytes_equal(oracle_busy, obs.device_busy_ms)) << "step " << step;
+    ASSERT_TRUE(obs.completed);
+    EXPECT_TRUE(bytes_equal({oracle.makespan_ms}, {obs.makespan_ms}));
+    EXPECT_TRUE(bytes_equal(oracle_busy, obs.device_busy_ms));
+  };
+
+  for (int step = 0; step < 4; ++step) {
+    expect_step_agrees(step, compiled.graph, rig.cluster, plan);
+  }
+  EXPECT_FALSE(injector.attempt_step(4, 0).completed) << "device 1 is down";
+
+  testing::TestRig survivors(rig.cluster.remove_device(1));
+  const std::vector<int> new_id_of = {0, -1, 1, 2, 3, 4, 5, 6};
+  const auto replanned = survivors.compile_uniform(graph, dp);
+  injector.apply_replan(replanned.graph, survivors.cluster, new_id_of);
+  const faults::FaultPlan remapped =
+      faults::remap_plan(plan, new_id_of, survivors.cluster);
+  ASSERT_EQ(remapped.events.size(), 2u);  // the failure left with its device
+  // Steps 6 and 7 are fault-free again, as step 0 was: the re-planned graph
+  // must be simulated anew, not answered from the old graph's memo.
+  for (int step = 4; step < 8; ++step) {
+    expect_step_agrees(step, replanned.graph, survivors.cluster, remapped);
   }
 }
 

@@ -150,6 +150,9 @@ TEST(TopoGen, ParserRejectsMalformedSpecs) {
       "{\"gpu_mix\": [\"v100\"]}",          // mix must be an object
       "{\"gpu_mix\": {\"v100\": \"x\"}}",   // weight must be a number
       "{\"racks\": 2",                      // unterminated object
+      "{\"racks\": 2-1}",                   // number with trailing junk
+      "{\"hosts_per_rack\": 4e}",           // exponent without digits
+      "{\"tor_gbps\": 100.0.5}",            // two decimal points
   };
   for (const std::string& text : bad) {
     EXPECT_THROW(cluster::parse_topo_gen_json(text), cluster::TopoSpecError) << text;
