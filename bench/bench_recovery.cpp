@@ -1,12 +1,15 @@
 // Recovery bench: DistRunner's monitor detector vs its oracle detector.
 //
-// Three fault mixes are driven through DistRunner twice — once with the
+// Five fault mixes are driven through DistRunner twice — once with the
 // oracle detector (the step loop reads the fault plan's verdicts) and once
 // with the monitor detector (the loop sees only per-attempt measurements,
-// through a HealthMonitor). Reported per mix: detection latency in steps
-// from fault onset to the monitor's verdict, and the total-time overhead
-// the measurement-only detector pays over the oracle (heartbeat timeouts
-// spent confirming failures).
+// through a HealthMonitor). Three run on MobileNet-v2 on the fig3 testbed,
+// whose deployment the scheduler's tryout gives chained ranks; two run on
+// 8-GPU deployments it gives plain ranks and FIFO, so parity covers every
+// order the run loop can enforce. Reported per mix: the deployed order,
+// detection latency in steps from fault onset to the monitor's verdict, and
+// the total-time overhead the measurement-only detector pays over the
+// oracle (heartbeat timeouts spent confirming failures).
 //
 // Parity gate: on each hand-written mix the two detectors must agree
 // exactly — bitwise-equal per-step times, recoveries at the same fault
@@ -16,8 +19,8 @@
 // deterministic_wall_times is on, so both columns are bit-stable run to run
 // and the overhead column isolates detection cost from replan wall time.
 //
-// Extra knob: HETEROG_CHAOS_SEED adds a fourth, seed-generated chaos mix
-// (faults::make_chaos_plan) on top of the three hand-written ones. The seed
+// Extra knob: HETEROG_CHAOS_SEED adds a seed-generated chaos mix on fig3
+// (faults::make_chaos_plan) on top of the hand-written ones. The seed
 // and the full scenario shape land in the HETEROG_BENCH_JSON "config" block
 // so any perf trajectory is attributable to a reproducible schedule.
 #include "bench_util.h"
@@ -85,11 +88,30 @@ HeteroGConfig recovery_config(bool online) {
   return config;
 }
 
-RunStats run_mix(const faults::FaultPlan& plan, bool online) {
-  const DistRunner runner = get_runner(
-      [] { return models::build_forward(models::ModelKind::kMobileNetV2, 0, 96); },
-      cluster::make_fig3_testbed(), recovery_config(online));
-  return runner.run(kSteps, plan);
+/// A fault mix and the deployment it runs on.
+struct Mix {
+  std::string label;
+  faults::FaultPlan plan;
+  models::ModelKind model = models::ModelKind::kMobileNetV2;
+  double batch = 96;
+  cluster::ClusterSpec (*cluster)() = cluster::make_fig3_testbed;
+};
+
+DistRunner deploy(const Mix& mix, bool online) {
+  return get_runner([&] { return models::build_forward(mix.model, 0, mix.batch); },
+                    mix.cluster(), recovery_config(online));
+}
+
+const char* order_name(sched::OrderPolicy order) {
+  switch (order) {
+    case sched::OrderPolicy::kRankPriority:
+      return "chained ranks";
+    case sched::OrderPolicy::kPlainRanks:
+      return "plain ranks";
+    case sched::OrderPolicy::kFifo:
+      return "FIFO";
+  }
+  return "?";
 }
 
 /// Why the two detectors disagree on a mix; empty when they have parity.
@@ -122,11 +144,7 @@ int main() {
       "must reach the oracle's verdicts from measurements alone, paying "
       "only heartbeat-timeout wall time for the privilege");
 
-  struct Mix {
-    std::string label;
-    faults::FaultPlan plan;
-  };
-  std::vector<Mix> mixes(3);
+  std::vector<Mix> mixes(5);
   mixes[0].label = "fail-stop";
   mixes[0].plan.events = {device_failure(1, 6)};
   mixes[1].label = "stragglers";
@@ -135,9 +153,21 @@ int main() {
   mixes[2].plan.events = {transient(2, 3, 2), straggler(0, 3.0, 8, 18),
                           link_degradation(0, 3, 0.5, 4, 12),
                           device_failure(1, 15)};
+  // MobileNet-v2 b64 and Inception-v3 b32 on the 8-GPU testbed: the tryout
+  // deploys them in plain-rank and FIFO order.
+  mixes[3].label = "8gpu-mnv2";
+  mixes[3].model = models::ModelKind::kMobileNetV2;
+  mixes[3].batch = 64;
+  mixes[4].label = "8gpu-incv3";
+  mixes[4].model = models::ModelKind::kInceptionV3;
+  mixes[4].batch = 32;
+  for (size_t m = 3; m < 5; ++m) {
+    mixes[m].cluster = cluster::make_paper_testbed_8gpu;
+    mixes[m].plan.events = {straggler(0, 2.5, 4, 12), device_failure(5, 16)};
+  }
   const size_t hand_written = mixes.size();  // the mixes the parity gate covers
 
-  // HETEROG_CHAOS_SEED adds a seed-generated schedule as a fourth mix; the
+  // HETEROG_CHAOS_SEED adds a seed-generated schedule as one more mix; the
   // same seed always reproduces the same schedule (chaos.h pins this).
   const int chaos_seed = env_int("HETEROG_CHAOS_SEED", -1);
   if (chaos_seed >= 0) {
@@ -154,12 +184,13 @@ int main() {
   int violations = 0;
 
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
-  TextTable table({"Mix", "Oracle (ms)", "Online (ms)", "Overhead (ms / %)",
+  TextTable table({"Mix", "Order", "Oracle (ms)", "Online (ms)", "Overhead (ms / %)",
                    "Detect (steps)", "Detections", "Quarantines"});
   for (size_t m = 0; m < mixes.size(); ++m) {
     const Mix& mix = mixes[m];
-    const RunStats oracle = run_mix(mix.plan, /*online=*/false);
-    const RunStats online = run_mix(mix.plan, /*online=*/true);
+    const DistRunner oracle_runner = deploy(mix, /*online=*/false);
+    const RunStats oracle = oracle_runner.run(kSteps, mix.plan);
+    const RunStats online = deploy(mix, /*online=*/true).run(kSteps, mix.plan);
     if (m < hand_written) {
       const std::string violation = parity_violation(oracle, online);
       if (!violation.empty()) {
@@ -196,7 +227,8 @@ int main() {
     metrics.set(prefix + ".retries_charged.count",
                 static_cast<double>(online.health.retries_charged));
 
-    table.add_row({mix.label, fmt_double(oracle.total_ms, 2),
+    table.add_row({mix.label, order_name(oracle_runner.deployment().order),
+                   fmt_double(oracle.total_ms, 2),
                    fmt_double(online.total_ms, 2),
                    fmt_double(overhead_ms, 2) + " / " +
                        fmt_double(overhead_pct, 2) + "%",

@@ -68,12 +68,11 @@ int main(int argc, char** argv) {
               mp_total * 100, (bd.ev_ps + bd.ev_ar) * 100, (bd.cp_ps + bd.cp_ar) * 100);
 
   // Peak memory of the deployed plan per device.
-  const auto result = sim::evaluate(runner.dist_graph(), devices);
+  const std::vector<int64_t>& peaks = runner.deployment().peak_memory_bytes;
   std::printf("\nPer-device peak memory of the deployed plan:\n");
   for (const auto& d : devices.devices()) {
     std::printf("  G%d (%s): %.1f / %.1f GB\n", d.id, cluster::gpu_model_name(d.model),
-                static_cast<double>(result.peak_memory_bytes[static_cast<size_t>(d.id)]) /
-                    (1 << 30),
+                static_cast<double>(peaks[static_cast<size_t>(d.id)]) / (1 << 30),
                 static_cast<double>(d.memory_bytes) / (1 << 30));
   }
   return 0;

@@ -57,7 +57,9 @@ int main(int argc, char** argv) {
 
   // 5b. How the plan uses the cluster.
   {
-    const auto result = sim::Simulator().run(runner.dist_graph());
+    sim::SimOptions options;
+    options.policy = runner.deployment().order;
+    const auto result = sim::Simulator(options).run(runner.dist_graph());
     std::printf("\n%s\n", analysis::utilization(runner.dist_graph(), result).render().c_str());
   }
 

@@ -15,8 +15,8 @@
 //  2. Whole-document CRC trailer — "crc <hex>\n" as the final line, verified
 //     (by string comparison, so flips inside the stored checksum are caught
 //     too) before any field of the document is parsed. Lifted from
-//     ckpt/journal.cpp so the run journal and the plan/eval store share one
-//     implementation; mirrors the v2 plan format in strategy/serialize.
+//     ckpt/journal.cpp so the run journal and the v2 plan format
+//     (strategy/serialize) share one implementation.
 #pragma once
 
 #include <cstddef>

@@ -46,15 +46,6 @@ class Rng {
   /// Samples an index from a probability vector that sums to ~1.
   int sample_categorical(const std::vector<double>& probabilities);
 
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& values) {
-    for (size_t i = values.size(); i > 1; --i) {
-      size_t j = static_cast<size_t>(uniform_int(0, static_cast<int>(i) - 1));
-      std::swap(values[i - 1], values[j]);
-    }
-  }
-
   /// Derives an independent child stream; deterministic in (seed, salt).
   Rng fork(uint64_t salt) const {
     return Rng(seed_mix_ ^ (salt * 0x9E3779B97F4A7C15ULL + 0xBF58476D1CE4E5B9ULL));

@@ -16,8 +16,6 @@ class TextTable {
   /// Renders the table with column-aligned cells and a header separator.
   std::string render() const;
 
-  size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

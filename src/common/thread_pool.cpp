@@ -92,9 +92,16 @@ void ThreadPool::parallel_for(size_t n, const std::function<void(size_t)>& body)
   }
   work_ready_.notify_all();
 
-  std::unique_lock<std::mutex> lock(batch->mu);
-  batch->done.wait(lock, [&] { return batch->remaining == 0; });
-  if (batch->error) std::rethrow_exception(batch->error);
+  // Move the exception out under the lock: a worker may still release the
+  // last reference to the batch, and the exception must not die with it on
+  // that thread while this one rethrows it.
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(batch->mu);
+    batch->done.wait(lock, [&] { return batch->remaining == 0; });
+    error = std::move(batch->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace heterog

@@ -637,13 +637,11 @@ class CompilerPass {
       const auto& request = ar_requests_[i];
       const BucketKey key{phase[static_cast<size_t>(request.grad)], request.devices};
       auto& bytes_acc = open_bytes[key];
-      if (fusion_limit > 0 && !open_bucket[key].empty() &&
-          bytes_acc + request.bytes > fusion_limit) {
+      if (!open_bucket[key].empty() && bytes_acc + request.bytes > fusion_limit) {
         flush(key);
       }
       open_bucket[key].push_back(i);
       bytes_acc += request.bytes;
-      if (fusion_limit <= 0) flush(key);  // fusion disabled
     }
     std::vector<BucketKey> keys;
     for (const auto& [key, members] : open_bucket) {

@@ -187,14 +187,6 @@ bool DistGraph::validate(std::string* error) const {
   return true;
 }
 
-double DistGraph::total_compute_ms() const {
-  double total = 0.0;
-  for (const auto& n : nodes_) {
-    if (!n.is_communication()) total += n.duration_ms;
-  }
-  return total;
-}
-
 double DistGraph::total_communication_ms() const {
   double total = 0.0;
   for (const auto& n : nodes_) {

@@ -71,7 +71,6 @@ class ResourceModel {
         host_count_(host_count) {}
 
   int device_count() const { return device_count_; }
-  bool has_host_topology() const { return host_count_ > 0; }
   int host_count() const { return host_count_; }
 
   int resource_count() const {
@@ -141,9 +140,8 @@ class DistGraph {
   std::vector<DistNodeId> topological_order() const;
   bool validate(std::string* error = nullptr) const;
 
-  /// Sum of durations of all nodes whose resource is a GPU / a link or the
-  /// NCCL channel; used by the Fig. 8 breakdown.
-  double total_compute_ms() const;
+  /// Sum of durations of all nodes whose resource is a link or the NCCL
+  /// channel.
   double total_communication_ms() const;
 
  private:

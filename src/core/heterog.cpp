@@ -744,12 +744,9 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
   if (!plan.empty()) plan.validate(cluster_);
 
   // The injector owns the fault plan and the fault-scaled simulations — the
-  // *injection* half of the pipeline; the detector is the only reader.
-  sim::SimOptions sim_options;
-  sim_options.policy = config_.use_order_scheduling ? sched::OrderPolicy::kRankPriority
-                                                    : sched::OrderPolicy::kFifo;
-  sim_options.track_memory = false;
-  sim::FaultInjector injector(compiled_->graph, cluster_, plan, sim_options);
+  // *injection* half of the pipeline; the detector is the only reader. It
+  // runs every step in the order the deployment's tryout chose.
+  sim::FaultInjector injector(compiled_->graph, cluster_, plan, deployment_.order);
   std::unique_ptr<Detector> detector;
   if (config_.health.enabled) {
     detector = std::make_unique<MonitorDetector>(injector, config_, cluster_, prior);
@@ -772,9 +769,11 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
     if (outcome.completed) {
       // A measured step scales the steady-state time by its makespan over
       // the deployment's cold makespan (evaluate_plan's pipeline-overlap
-      // correction carries over unchanged).
+      // correction carries over unchanged). One that ran exactly as long as
+      // the cold iteration costs the steady-state time itself, as an
+      // unmeasured step does: iter * cold / cold can round away from iter.
       double step_ms = active.iter_ms;
-      if (outcome.makespan_ms) {
+      if (outcome.makespan_ms && *outcome.makespan_ms != active.cold_ms) {
         step_ms = active.cold_ms > 0.0
                       ? active.iter_ms * *outcome.makespan_ms / active.cold_ms
                       : *outcome.makespan_ms;
@@ -817,7 +816,8 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
 
       const std::vector<int> id_map =
           survivor_id_map(active.cluster.device_count(), outcome.failed);
-      injector.apply_replan(replanned.compiled->graph, survivors, id_map);
+      injector.apply_replan(replanned.compiled->graph, survivors, id_map,
+                            replanned.evaluation.order);
       const std::vector<int> racks = detector->replanned(step, rec.live, id_map);
       report.domain_rack = racks.empty() ? -1 : racks.front();
       rec.recovery(report, outcome.degraded, racks);
@@ -834,7 +834,8 @@ RunStats DistRunner::run_impl(int steps, const faults::FaultPlan& plan, int star
                       choice.search.best_strategy);
       std::vector<int> identity(static_cast<size_t>(active.cluster.device_count()));
       std::iota(identity.begin(), identity.end(), 0);
-      injector.apply_replan(redeployed.compiled->graph, active.cluster, identity);
+      injector.apply_replan(redeployed.compiled->graph, active.cluster, identity,
+                            redeployed.evaluation.order);
       detector->replanned(step, rec.live, identity);
       rec.stats.oom = rec.stats.oom || redeployed.evaluation.oom;
       rec.degraded_replan(step, "straggler_replan", stragglers->devices, true);

@@ -26,7 +26,6 @@ class GraphDef {
 
   const std::string& name() const { return name_; }
   double global_batch() const { return global_batch_; }
-  void set_global_batch(double batch) { global_batch_ = batch; }
 
   int op_count() const { return static_cast<int>(ops_.size()); }
   const OpDef& op(OpId id) const;

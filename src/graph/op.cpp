@@ -66,16 +66,4 @@ bool is_compute_intensive(OpKind kind) {
   }
 }
 
-const char* op_role_name(OpRole role) {
-  switch (role) {
-    case OpRole::kForward:
-      return "forward";
-    case OpRole::kBackward:
-      return "backward";
-    case OpRole::kApply:
-      return "apply";
-  }
-  return "unknown";
-}
-
 }  // namespace heterog::graph

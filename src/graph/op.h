@@ -60,8 +60,6 @@ enum class OpRole : uint8_t {
   kApply,  // parameter update
 };
 
-const char* op_role_name(OpRole role);
-
 /// A single operation of the single-GPU training DAG.
 ///
 /// Cost fields are *hardware-independent* workload descriptions; the profiler

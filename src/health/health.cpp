@@ -30,20 +30,6 @@ T parse_num(std::istringstream& is, const char* what) {
 
 }  // namespace
 
-const char* device_state_name(DeviceState s) {
-  switch (s) {
-    case DeviceState::kHealthy:
-      return "healthy";
-    case DeviceState::kSuspect:
-      return "suspect";
-    case DeviceState::kQuarantined:
-      return "quarantined";
-    case DeviceState::kFailed:
-      return "failed";
-  }
-  return "unknown";
-}
-
 void HealthPolicy::validate() const {
   auto fail = [](const std::string& why) { throw HealthError("health policy: " + why); };
   if (!(ewma_alpha > 0.0 && ewma_alpha <= 1.0)) fail("ewma_alpha must be in (0, 1]");

@@ -146,7 +146,6 @@ enum class DeviceState : uint8_t {
   kQuarantined = 2,  // straggler verdict reached; on probation
   kFailed = 3,       // permanent failure confirmed (terminal)
 };
-const char* device_state_name(DeviceState s);
 
 /// One confirmed detection, for reports and the recovery bench (detection
 /// latency = confirmed_step - onset_step).

@@ -398,17 +398,18 @@ struct NamedModel {
   const char* name;
   ModelKind kind;
   int default_layers;
+  const char* note;
 };
 
 constexpr NamedModel kNamedModels[] = {
-    {"vgg19", ModelKind::kVgg19, 0},
-    {"resnet200", ModelKind::kResNet200, 0},
-    {"inception_v3", ModelKind::kInceptionV3, 0},
-    {"mobilenet_v2", ModelKind::kMobileNetV2, 0},
-    {"nasnet", ModelKind::kNasNet, 0},
-    {"transformer", ModelKind::kTransformer, 6},
-    {"bert", ModelKind::kBertLarge, 24},
-    {"xlnet", ModelKind::kXlnetLarge, 24},
+    {"vgg19", ModelKind::kVgg19, 0, "16 conv + 3 FC, parameter-heavy FCs"},
+    {"resnet200", ModelKind::kResNet200, 0, "bottleneck stages [3,24,36,3]"},
+    {"inception_v3", ModelKind::kInceptionV3, 0, "11 branched modules"},
+    {"mobilenet_v2", ModelKind::kMobileNetV2, 0, "17 inverted residuals"},
+    {"nasnet", ModelKind::kNasNet, 0, "18 heavily-branched cells"},
+    {"transformer", ModelKind::kTransformer, 6, "--layers selects depth"},
+    {"bert", ModelKind::kBertLarge, 24, "--layers selects depth"},
+    {"xlnet", ModelKind::kXlnetLarge, 24, "--layers selects depth"},
 };
 
 }  // namespace
@@ -422,6 +423,13 @@ bool parse_model_name(const std::string& name, ModelKind* kind, int* default_lay
     }
   }
   return false;
+}
+
+const char* model_note(ModelKind kind) {
+  for (const auto& m : kNamedModels) {
+    if (m.kind == kind) return m.note;
+  }
+  return "";
 }
 
 const std::vector<std::string>& known_model_names() {

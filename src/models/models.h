@@ -36,6 +36,9 @@ bool parse_model_name(const std::string& name, ModelKind* kind, int* default_lay
 /// The names parse_model_name accepts, for usage text and docs.
 const std::vector<std::string>& known_model_names();
 
+/// One line on the family's structure, for model listings.
+const char* model_note(ModelKind kind);
+
 /// Builds the forward graph. `layers` selects depth for the NLP families
 /// (Transformer / BERT / XLNet number of encoder layers); it is ignored for
 /// the CNNs (pass 0).

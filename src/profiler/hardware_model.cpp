@@ -160,10 +160,6 @@ constexpr double kKernelLaunchMs = 0.004;
 
 }  // namespace
 
-double HardwareModel::sustained_gflops_per_ms(GpuModel model, OpKind kind) {
-  return class_rate(model, classify(kind));
-}
-
 double HardwareModel::op_time_ms(const graph::OpDef& op, double batch,
                                  cluster::DeviceId dev) const {
   check(batch >= 0.0, "op_time_ms: negative batch");

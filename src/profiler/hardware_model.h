@@ -31,10 +31,6 @@ class HardwareModel {
 
   const cluster::ClusterSpec& cluster() const { return *cluster_; }
 
-  /// Sustained rate (GFLOPs/ms) of `model` on ops of `kind` at full
-  /// utilisation; exposed for tests and the Fig. 3(b) bench.
-  static double sustained_gflops_per_ms(cluster::GpuModel model, graph::OpKind kind);
-
  private:
   const cluster::ClusterSpec* cluster_;
 };

@@ -154,10 +154,4 @@ EvalEngineStats EvalEngine::stats() const {
   return stats_;
 }
 
-void EvalEngine::clear_cache() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-}
-
 }  // namespace heterog::rl

@@ -108,7 +108,6 @@ class EvalEngine {
   void poison(uint64_t key, const sim::PlanEvaluation& eval);
 
   EvalEngineStats stats() const;
-  void clear_cache();
 
   int threads() const { return options_.threads; }
   bool cache_enabled() const { return options_.cache_capacity > 0; }

@@ -64,10 +64,6 @@ std::vector<double> compute_ranks(
   return ranks;
 }
 
-std::vector<double> rank_priorities(const compile::DistGraph& graph) {
-  return rank_priorities(graph, graph.topological_order());
-}
-
 std::vector<double> rank_priorities(const compile::DistGraph& graph,
                                     const std::vector<compile::DistNodeId>& topo) {
   // Chain the communication nodes of each serialised resource (every
@@ -94,6 +90,20 @@ std::vector<double> rank_priorities(const compile::DistGraph& graph,
     }
   }
   return compute_ranks(graph, topo, chains);
+}
+
+std::vector<double> priorities(const compile::DistGraph& graph,
+                               const std::vector<compile::DistNodeId>& topo,
+                               OrderPolicy policy) {
+  switch (policy) {
+    case OrderPolicy::kRankPriority:
+      return rank_priorities(graph, topo);
+    case OrderPolicy::kPlainRanks:
+      return compute_ranks(graph, topo, {});
+    case OrderPolicy::kFifo:
+      break;
+  }
+  return std::vector<double>(static_cast<size_t>(graph.node_count()), 0.0);
 }
 
 }  // namespace heterog::sched

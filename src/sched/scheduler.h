@@ -34,9 +34,14 @@ std::vector<double> compute_ranks(
     const compile::DistGraph& graph, const std::vector<compile::DistNodeId>& topo,
     const std::vector<std::pair<compile::DistNodeId, compile::DistNodeId>>& extra_edges);
 
+/// An execution order. sim::evaluate_plan simulates the candidates and
+/// records the winner as PlanEvaluation::order; every later simulation of
+/// that plan runs under it. Appended values keep their integer: the
+/// evaluation cache key mixes it.
 enum class OrderPolicy {
-  kRankPriority,  // HeteroG's list schedule
+  kRankPriority,  // HeteroG's list schedule: resource-chained upward ranks
   kFifo,          // TensorFlow's default: ready order (paper Sec. 6.6 baseline)
+  kPlainRanks,    // upward ranks without the resource chains
 };
 
 /// Priorities realising the rank policy, in milliseconds of upward rank
@@ -50,10 +55,17 @@ enum class OrderPolicy {
 /// gradient's rank carries the whole remaining AllReduce backlog and
 /// gradient ops interleave with backward compute — maximising the paper's
 /// computation/communication overlap objective.
-std::vector<double> rank_priorities(const compile::DistGraph& graph);
-
-/// As above, with a caller-supplied topological order (see compute_ranks).
+/// `topo` must be a topological order of exactly this graph (see
+/// compute_ranks).
 std::vector<double> rank_priorities(const compile::DistGraph& graph,
                                     const std::vector<compile::DistNodeId>& topo);
+
+/// The priorities that realise `policy` on `graph`: rank_priorities under
+/// kRankPriority, compute_ranks without extra edges under kPlainRanks, and
+/// zeros under kFifo, where arrival order decides and `topo` is not read.
+/// `topo` must be a topological order of exactly this graph. Pure function.
+std::vector<double> priorities(const compile::DistGraph& graph,
+                               const std::vector<compile::DistNodeId>& topo,
+                               OrderPolicy policy);
 
 }  // namespace heterog::sched

@@ -76,13 +76,11 @@ bool plan_uses_device(const compile::DistGraph& graph, cluster::DeviceId device)
 }
 
 FaultInjector::FaultInjector(compile::DistGraph graph, cluster::ClusterSpec cluster,
-                             faults::FaultPlan plan, SimOptions options)
+                             faults::FaultPlan plan, sched::OrderPolicy order)
     : graph_(std::move(graph)),
       cluster_(std::move(cluster)),
       plan_(std::move(plan)),
-      options_(options) {
-  // Per-step timing only; memory tracking is a deployment-time concern.
-  options_.track_memory = false;
+      order_(order) {
   plan_.validate(cluster_);
 }
 
@@ -91,7 +89,11 @@ const FaultInjector::StepMeasurement& FaultInjector::measure(
   const std::string key = scaling.signature();
   auto it = memo_.find(key);
   if (it == memo_.end()) {
-    const Simulator simulator(options_);
+    SimOptions options;
+    options.policy = order_;
+    // Per-step timing only; memory tracking is a deployment-time concern.
+    options.track_memory = false;
+    const Simulator simulator(options);
     const SimResult result =
         scaling.any() ? simulator.run(apply_fault_scaling(graph_, cluster_, scaling))
                       : simulator.run(graph_);
@@ -164,9 +166,11 @@ health::Observation FaultInjector::attempt_step(int step, int attempt) {
 
 void FaultInjector::apply_replan(compile::DistGraph graph,
                                  cluster::ClusterSpec cluster,
-                                 const std::vector<int>& new_id_of) {
+                                 const std::vector<int>& new_id_of,
+                                 sched::OrderPolicy order) {
   graph_ = std::move(graph);
   cluster_ = std::move(cluster);
+  order_ = order;
   // The survivor-aware overload drops domain events whose rack/switch no
   // longer exists in the re-planned cluster.
   plan_ = faults::remap_plan(plan_, new_id_of, cluster_);

@@ -45,8 +45,10 @@ class FaultInjector {
     std::vector<double> device_busy_ms;  // indexed by device id
   };
 
+  /// `order` is the deployed plan's PlanEvaluation::order: every step runs
+  /// under it, with priorities recomputed on the fault-scaled durations.
   FaultInjector(compile::DistGraph graph, cluster::ClusterSpec cluster,
-                faults::FaultPlan plan, SimOptions options);
+                faults::FaultPlan plan, sched::OrderPolicy order);
 
   /// One attempt of `step` (attempt 0 = first try). Outcome precedence:
   /// a failed device the plan uses times the attempt out (no error
@@ -61,10 +63,11 @@ class FaultInjector {
   /// arithmetic is identical.
   const StepMeasurement& measure(const faults::FaultScaling& scaling);
 
-  /// Swaps in the re-planned graph/cluster and rewrites the plan's device
-  /// references through `new_id_of` (faults::remap_plan semantics).
+  /// Swaps in the re-planned graph/cluster and its order, and rewrites the
+  /// plan's device references through `new_id_of` (faults::remap_plan
+  /// semantics).
   void apply_replan(compile::DistGraph graph, cluster::ClusterSpec cluster,
-                    const std::vector<int>& new_id_of);
+                    const std::vector<int>& new_id_of, sched::OrderPolicy order);
 
   /// The remapped fault plan — DistRunner's oracle detector only.
   const faults::FaultPlan& oracle_plan() const { return plan_; }
@@ -75,7 +78,7 @@ class FaultInjector {
   compile::DistGraph graph_;
   cluster::ClusterSpec cluster_;
   faults::FaultPlan plan_;
-  SimOptions options_;
+  sched::OrderPolicy order_;
   std::map<std::string, StepMeasurement> memo_;  // keyed by scaling signature
 };
 

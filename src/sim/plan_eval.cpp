@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -31,10 +32,10 @@ std::string comm_resource_name(const compile::ResourceModel& resources, int r) {
 }
 
 /// Per-device and per-comm-resource busy times plus the critical path of the
-/// single-iteration schedule (max upward rank == longest dependency chain,
-/// since transfers are explicit nodes and edges are free).
+/// single-iteration schedule (max plain upward rank == longest dependency
+/// chain, since transfers are explicit nodes and edges are free).
 void collect_utilization(const compile::DistGraph& graph, const SimResult& single,
-                         PlanEvaluation& eval) {
+                         const std::vector<double>& plain_ranks, PlanEvaluation& eval) {
   const compile::ResourceModel& resources = graph.resources();
   eval.device_busy_ms.assign(static_cast<size_t>(resources.device_count()), 0.0);
   for (int r = 0; r < static_cast<int>(single.resource_busy_ms.size()); ++r) {
@@ -45,9 +46,9 @@ void collect_utilization(const compile::DistGraph& graph, const SimResult& singl
       eval.comm_busy.push_back({comm_resource_name(resources, r), busy});
     }
   }
-  const std::vector<double> ranks = sched::compute_ranks(graph);
   eval.critical_path_ms =
-      ranks.empty() ? 0.0 : *std::max_element(ranks.begin(), ranks.end());
+      plain_ranks.empty() ? 0.0
+                          : *std::max_element(plain_ranks.begin(), plain_ranks.end());
 }
 
 /// Structural fingerprint of (graph, grouping, iterations) for the unroll
@@ -110,6 +111,8 @@ PlanEvaluation evaluate_plan(const profiler::CostProvider& costs,
                              const strategy::StrategyMap& strategy,
                              PlanEvalOptions options, PlanEvalScratch* scratch) {
   check(options.unroll_iterations >= 1, "evaluate_plan: bad unroll");
+  check(options.policy != sched::OrderPolicy::kPlainRanks,
+        "evaluate_plan: plain ranks are a scheduler candidate, not a request");
   // Node names are write-only below this point (PlanEvaluation reports
   // resource names, never node names) — skip building them in the hot loop.
   compile::CompilerOptions compiler_options = options.compiler;
@@ -140,66 +143,49 @@ PlanEvaluation evaluate_plan(const profiler::CostProvider& costs,
   // the compiled graph and enforces whichever finishes first (list
   // scheduling has no universally dominant priority rule; simulating the
   // candidates is exactly what the paper's Scheduler/Simulator pair is for).
+  // Each candidate runs once with memory tracking, which never changes the
+  // dispatch order; a later one wins only on a strictly smaller makespan. A
+  // FIFO request tries FIFO alone.
+  static constexpr sched::OrderPolicy kCandidates[] = {
+      sched::OrderPolicy::kRankPriority, sched::OrderPolicy::kPlainRanks,
+      sched::OrderPolicy::kFifo};
+  const std::span<const sched::OrderPolicy> candidates =
+      options.policy == sched::OrderPolicy::kFifo
+          ? std::span<const sched::OrderPolicy>(kCandidates).last(1)
+          : std::span<const sched::OrderPolicy>(kCandidates);
   const auto compiled = compiler.compile(training_graph, grouping, strategy);
+  const auto topo = compiled.graph.topological_order();
   SimOptions sim_options;
-  sim_options.policy = options.policy;
   sim_options.usable_memory_fraction = options.usable_memory_fraction;
 
-  SimResult single;
-  bool chained_rank_won = true;
-  if (options.policy == sched::OrderPolicy::kRankPriority) {
-    const auto topo = compiled.graph.topological_order();
-    // The chained-rank candidate usually wins the tryout, so it alone runs
-    // with memory tracking on; the two challengers run without (tracking
-    // writes memory arrays but never influences dispatch order, so their
-    // makespans are unaffected). When a challenger does take the lead it is
-    // re-simulated with tracking — simulation is deterministic, so the
-    // result is bit-identical to having tracked it from the start, and the
-    // common case skips two full memory passes per evaluation.
-    single = simulate(compiled.graph, sched::rank_priorities(compiled.graph, topo),
-                      sim_options);
-    SimOptions trial_options = sim_options;
-    trial_options.track_memory = false;
-    const std::vector<double> plain_ranks =
-        sched::compute_ranks(compiled.graph, topo, {});
-    const SimResult plain = simulate(compiled.graph, plain_ranks, trial_options);
-    bool rerun_winner = false;
-    if (plain.makespan_ms < single.makespan_ms) {
-      single = plain;
-      chained_rank_won = false;
-      rerun_winner = true;
-    }
-    SimOptions fifo_options = sim_options;
-    fifo_options.policy = sched::OrderPolicy::kFifo;
-    SimOptions fifo_trial = fifo_options;
-    fifo_trial.track_memory = false;
-    const std::vector<double> zeros(static_cast<size_t>(compiled.graph.node_count()),
-                                    0.0);
-    const SimResult fifo = simulate(compiled.graph, zeros, fifo_trial);
-    bool fifo_won = false;
-    if (fifo.makespan_ms < single.makespan_ms) {
-      single = fifo;
-      sim_options.policy = sched::OrderPolicy::kFifo;  // carry into the unroll
-      fifo_won = true;
-      rerun_winner = true;
-    }
-    if (rerun_winner && sim_options.track_memory) {
-      single = fifo_won ? simulate(compiled.graph, zeros, fifo_options)
-                        : simulate(compiled.graph, plain_ranks, sim_options);
-    }
-    apply_oom_check(single, costs.cluster(), options.usable_memory_fraction);
-  } else {
-    single = evaluate(compiled.graph, costs.cluster(), sim_options);
-  }
-
   PlanEvaluation eval;
+  SimResult single;
+  std::vector<double> plain_ranks;  // the critical path is their maximum
+  for (const sched::OrderPolicy candidate : candidates) {
+    std::vector<double> priorities = sched::priorities(compiled.graph, topo, candidate);
+    sim_options.policy = candidate;
+    SimResult result = simulate(compiled.graph, priorities, sim_options);
+    if (candidate == sched::OrderPolicy::kPlainRanks) plain_ranks = std::move(priorities);
+    if (candidate == candidates.front() || result.makespan_ms < single.makespan_ms) {
+      single = std::move(result);
+      eval.order = candidate;
+    }
+  }
+  apply_oom_check(single, costs.cluster(), options.usable_memory_fraction);
+
   eval.cold_iteration_ms = single.makespan_ms;
   eval.computation_ms = single.computation_time_ms;
   eval.communication_ms = single.communication_time_ms;
   eval.oom = single.oom;
   eval.peak_memory_bytes = single.peak_memory_bytes;
   eval.oom_devices = single.oom_devices;
-  if (options.collect_utilization) collect_utilization(compiled.graph, single, eval);
+  if (options.collect_utilization) {
+    if (plain_ranks.empty()) {
+      plain_ranks =
+          sched::priorities(compiled.graph, topo, sched::OrderPolicy::kPlainRanks);
+    }
+    collect_utilization(compiled.graph, single, plain_ranks, eval);
+  }
 
   if (options.unroll_iterations == 1 ||
       (options.skip_unroll_on_oom && eval.oom)) {
@@ -222,21 +208,14 @@ PlanEvaluation evaluate_plan(const profiler::CostProvider& costs,
   const PlanEvalScratch::Unrolled& unrolled = scratch != nullptr ? *cached : *local;
   const auto unrolled_compiled =
       compiler.compile(unrolled.graph, unrolled.grouping, strategy);
-  SimOptions steady_options = sim_options;
-  steady_options.track_memory = false;
-  std::vector<double> steady_priorities;
-  if (steady_options.policy == sched::OrderPolicy::kRankPriority) {
-    const auto topo = unrolled_compiled.graph.topological_order();
-    steady_priorities =
-        chained_rank_won
-            ? sched::rank_priorities(unrolled_compiled.graph, topo)
-            : sched::compute_ranks(unrolled_compiled.graph, topo, {});
-  } else {
-    steady_priorities.assign(static_cast<size_t>(unrolled_compiled.graph.node_count()),
-                             0.0);
-  }
+  sim_options.policy = eval.order;
+  sim_options.track_memory = false;
   const double t_k =
-      simulate(unrolled_compiled.graph, steady_priorities, steady_options).makespan_ms;
+      simulate(unrolled_compiled.graph,
+               sched::priorities(unrolled_compiled.graph,
+                                 unrolled_compiled.graph.topological_order(), eval.order),
+               sim_options)
+          .makespan_ms;
   eval.per_iteration_ms =
       (t_k - single.makespan_ms) / static_cast<double>(options.unroll_iterations - 1);
   // Guard against degenerate overlap estimates (per-iteration time can never

@@ -34,6 +34,11 @@ struct CommResourceBusy {
 struct PlanEvaluation {
   double per_iteration_ms = 0.0;    // steady state
   double cold_iteration_ms = 0.0;   // single-iteration makespan
+  /// The execution order the scheduler's tryout chose; every figure here
+  /// was simulated under it, and so is every later step of the deployed
+  /// plan. Filled on every evaluate_plan call but not persisted: PlanStore
+  /// records omit it, and the deploy stage never reads the store.
+  sched::OrderPolicy order = sched::OrderPolicy::kRankPriority;
   double computation_ms = 0.0;      // busiest GPU, single iteration
   double communication_ms = 0.0;    // busiest comm resource, single iteration
   bool oom = false;
@@ -49,6 +54,8 @@ struct PlanEvaluation {
 };
 
 struct PlanEvalOptions {
+  /// kRankPriority: the scheduler tries chained ranks, plain ranks and FIFO
+  /// and keeps the fastest. kFifo: FIFO only. kPlainRanks is rejected.
   sched::OrderPolicy policy = sched::OrderPolicy::kRankPriority;
   compile::CompilerOptions compiler;
   /// Iterations in the steady-state unroll (>= 1; 1 disables unrolling and

@@ -294,9 +294,9 @@ void CompactGraph::build(const compile::DistGraph& graph) {
 
 SimResult run_core(const CompactGraph& compact, const std::vector<double>& priorities,
                    const SimOptions& options, SimWorkspace& ws, std::nullptr_t) {
-  return options.policy == sched::OrderPolicy::kRankPriority
-             ? run_impl<RankOrder>(compact, priorities, options, ws)
-             : run_impl<FifoOrder>(compact, priorities, options, ws);
+  return options.policy == sched::OrderPolicy::kFifo
+             ? run_impl<FifoOrder>(compact, priorities, options, ws)
+             : run_impl<RankOrder>(compact, priorities, options, ws);
 }
 
 SimWorkspace& thread_workspace() {

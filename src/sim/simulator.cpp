@@ -45,12 +45,8 @@ void validate_for_simulation(const compile::DistGraph& graph,
 }
 
 SimResult Simulator::run(const compile::DistGraph& graph) const {
-  if (options_.policy == sched::OrderPolicy::kRankPriority) {
-    return run_with_priorities(graph, sched::rank_priorities(graph));
-  }
-  // FIFO ignores priorities; arrival order decides.
-  const std::vector<double> zeros(static_cast<size_t>(graph.node_count()), 0.0);
-  return run_with_priorities(graph, zeros);
+  return run_with_priorities(
+      graph, sched::priorities(graph, graph.topological_order(), options_.policy));
 }
 
 SimResult Simulator::run_with_priorities(const compile::DistGraph& graph,

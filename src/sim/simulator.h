@@ -35,8 +35,8 @@ class Simulator {
  public:
   explicit Simulator(SimOptions options = SimOptions()) : options_(options) {}
 
-  /// Executes the graph under the configured order policy. For the rank
-  /// policy, priorities are computed internally unless provided.
+  /// Executes the graph under the configured order policy, with the
+  /// priorities sched::priorities gives it unless they are provided.
   SimResult run(const compile::DistGraph& graph) const;
   SimResult run_with_priorities(const compile::DistGraph& graph,
                                 const std::vector<double>& priorities) const;

@@ -5,35 +5,13 @@
 
 #include "common/atomic_file.h"
 #include "common/crc32.h"
+#include "common/record_io.h"
 
 namespace heterog::strategy {
 
 namespace {
 
 [[noreturn]] void fail(const std::string& why) { throw PlanFormatError("plan: " + why); }
-
-/// Splits off the final "crc <hex>" line of a v2 payload and verifies it.
-/// Returns the checksummed body (everything before the crc line).
-std::string verify_crc_trailer(const std::string& text) {
-  // The crc line is by construction the last line; search from the end so
-  // embedded-looking "crc " bytes earlier in a (corrupt) body cannot
-  // confuse the split.
-  std::string trimmed = text;
-  if (!trimmed.empty() && trimmed.back() == '\n') trimmed.pop_back();
-  const size_t nl = trimmed.find_last_of('\n');
-  const std::string last = nl == std::string::npos ? trimmed : trimmed.substr(nl + 1);
-  if (last.rfind("crc ", 0) != 0) fail("missing crc trailer line");
-  if (trimmed.size() == last.size()) fail("plan is only a crc line");
-  const std::string body = text.substr(0, nl + 1);
-  // String comparison, not value comparison: a flipped byte inside the
-  // stored checksum itself must also be detected.
-  const std::string expected = crc32_hex(crc32(body));
-  if (last.substr(4) != expected) {
-    fail("checksum mismatch (stored \"" + last.substr(4) + "\", computed \"" +
-         expected + "\")");
-  }
-  return body;
-}
 
 /// Group counts are parsed signed and range-checked so a crafted plan cannot
 /// drive a gigantic reserve() into std::length_error / bad_alloc (those are
@@ -101,8 +79,9 @@ StrategyMap parse_any(const std::string& text, int device_count,
 
   if (version != "v2") fail("unsupported version \"" + version + "\"");
 
-  const std::string body = verify_crc_trailer(text);
-  std::istringstream is(body);
+  const CrcTrailerResult checked = strip_crc_trailer(text);
+  if (!checked.ok) fail(checked.error);
+  std::istringstream is(checked.body);
   is >> magic >> version;
   std::string key, fingerprint;
   if (!(is >> key >> fingerprint) || key != "cluster" || fingerprint.size() != 8) {
@@ -144,9 +123,7 @@ std::string to_text(const StrategyMap& map, const cluster::ClusterSpec& cluster)
   os << "devices " << device_count << "\n";
   os << "groups " << map.group_actions.size() << "\n";
   for (const Action& a : map.group_actions) os << a.index(device_count) << "\n";
-  std::string body = os.str();
-  body += "crc " + crc32_hex(crc32(body)) + "\n";
-  return body;
+  return with_crc_trailer(os.str());
 }
 
 std::optional<StrategyMap> from_text(const std::string& text, int device_count) {

@@ -16,7 +16,8 @@
 // v2 hardens the format against deployment accidents: the cluster
 // fingerprint (cluster::cluster_fingerprint) refuses a plan made for
 // different hardware even when the device *count* happens to match; the crc
-// line detects truncation and bit rot; the action count is cross-checked
+// line (common/record_io's trailer) detects truncation, a lost final newline
+// included, and bit rot; the action count is cross-checked
 // against the `groups` header; and trailing garbage after the last line is
 // rejected (for v1 too), so concatenation corruption cannot masquerade as a
 // valid shorter plan.

@@ -7,14 +7,6 @@
 
 namespace heterog::strategy {
 
-const char* comm_method_name(CommMethod method) {
-  return method == CommMethod::kPS ? "PS" : "AllReduce";
-}
-
-const char* replication_mode_name(ReplicationMode mode) {
-  return mode == ReplicationMode::kEven ? "even" : "proportional";
-}
-
 Action Action::mp(DeviceId device) {
   Action a;
   a.is_mp = true;
@@ -61,11 +53,6 @@ std::string Action::to_string() const {
   std::string mode = replication == ReplicationMode::kEven ? "EV" : "CP";
   std::string comm_name = comm == CommMethod::kPS ? "PS" : "AR";
   return mode + "-" + comm_name;
-}
-
-std::string action_table_label(const Action& action, int device_count) {
-  (void)device_count;
-  return action.to_string();
 }
 
 GroupId Grouping::group_of(OpId op) const {

@@ -24,10 +24,8 @@ using graph::OpId;
 using GroupId = int32_t;
 
 enum class CommMethod : uint8_t { kPS, kAllReduce };
-const char* comm_method_name(CommMethod method);
 
 enum class ReplicationMode : uint8_t { kEven, kProportional };
-const char* replication_mode_name(ReplicationMode mode);
 
 /// One Part-I action. Exactly one of the M+4 alternatives.
 struct Action {
@@ -47,9 +45,6 @@ struct Action {
   bool operator==(const Action& other) const;
   std::string to_string() const;
 };
-
-/// Names matching the paper's Table 2 / 3 columns for DP actions.
-std::string action_table_label(const Action& action, int device_count);
 
 /// Operation grouping (paper Sec. 4.1.1, per-group embeddings).
 ///

@@ -241,6 +241,16 @@ TEST(PlanV2, EveryByteCorruptionIsDetected) {
   }
 }
 
+TEST(PlanV2, LostFinalNewlineIsDetected) {
+  // Every writer ends a plan in a newline, so a plan without one was torn.
+  const auto& runner = toy_runner();
+  std::string text = strategy::to_text(runner.strategy(), runner.cluster());
+  ASSERT_EQ(text.back(), '\n');
+  text.pop_back();
+  EXPECT_THROW(strategy::parse_plan(text, runner.cluster()), strategy::PlanFormatError);
+  EXPECT_FALSE(strategy::from_text(text, runner.cluster().device_count()));
+}
+
 TEST(PlanV2, FingerprintRefusesDifferentClusterOfSameSize) {
   const auto& runner = toy_runner();
   const std::string text = strategy::to_text(runner.strategy(), runner.cluster());

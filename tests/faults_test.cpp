@@ -514,7 +514,7 @@ TEST(FaultSim, ReportsPerStepMakespans) {
 
   FaultPlan plan;
   plan.events = {straggler(0, 3.0, 1, 3)};
-  sim::FaultInjector injector(g, cluster4, plan, sim::SimOptions());
+  sim::FaultInjector injector(g, cluster4, plan, sched::OrderPolicy::kRankPriority);
   std::vector<double> makespans;
   double total_ms = 0.0;
   for (int step = 0; step < 5; ++step) {
@@ -541,7 +541,7 @@ TEST(FaultSim, DeviceFailureMarksStepInexecutable) {
 
   FaultPlan plan;
   plan.events = {device_failure(1, 2)};
-  sim::FaultInjector injector(g, cluster4, plan, sim::SimOptions());
+  sim::FaultInjector injector(g, cluster4, plan, sched::OrderPolicy::kRankPriority);
   int first_inexecutable_step = -1;
   health::Observation blocked;
   for (int step = 0; step < 5 && first_inexecutable_step < 0; ++step) {
@@ -563,7 +563,7 @@ TEST(FaultSim, FailureOfUnusedDeviceDoesNotStopExecution) {
 
   FaultPlan plan;
   plan.events = {device_failure(3, 1)};
-  sim::FaultInjector injector(g, cluster4, plan, sim::SimOptions());
+  sim::FaultInjector injector(g, cluster4, plan, sched::OrderPolicy::kRankPriority);
   for (int step = 0; step < 4; ++step) {
     const health::Observation obs = injector.attempt_step(step, 0);
     EXPECT_TRUE(obs.completed) << "step " << step;

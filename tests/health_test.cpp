@@ -19,6 +19,7 @@
 #include "health/health.h"
 #include "models/models.h"
 #include "obs/event_log.h"
+#include "sim/fault_sim.h"
 
 namespace heterog {
 namespace {
@@ -531,6 +532,91 @@ TEST(OnlineHealth, EmptyPlanRunsCleanlyUnderMonitoring) {
     EXPECT_NEAR(ms, runner.per_iteration_ms(), 1e-9 + 1e-9 * ms);
   }
 }
+
+// The execution order the deploy stage's tryout chose is the order every
+// step runs in, under either detector. One deployment per order the tryout
+// can choose, at the default group count.
+struct DeployedOrderCase {
+  const char* label;
+  models::ModelKind model;
+  double batch;
+  cluster::ClusterSpec (*cluster)();
+  sched::OrderPolicy order;
+  cluster::DeviceId fails;  // a device the plan uses
+};
+
+void PrintTo(const DeployedOrderCase& c, std::ostream* os) { *os << c.label; }
+
+class DeployedOrder : public ::testing::TestWithParam<DeployedOrderCase> {};
+
+TEST_P(DeployedOrder, EveryStepRunsInTheTryoutsOrder) {
+  const DeployedOrderCase& c = GetParam();
+  const auto runner = [&](bool online) {
+    HeteroGConfig config;
+    config.search_with_rl = false;
+    config.train.episodes = 0;
+    config.health.enabled = online;
+    return get_runner([&] { return models::build_forward(c.model, 0, c.batch); },
+                      c.cluster(), config);
+  };
+  const DistRunner oracle_runner = runner(false);
+  const sim::PlanEvaluation& deployment = oracle_runner.deployment();
+  ASSERT_EQ(deployment.order, c.order);
+
+  // Simulated in that order, the deployed graph reproduces the tryout's
+  // cold makespan bit for bit: what traces and the run loop simulate.
+  sim::SimOptions options;
+  options.policy = deployment.order;
+  options.track_memory = false;
+  const sim::Simulator simulator(options);
+  const double cold = deployment.cold_iteration_ms;
+  EXPECT_EQ(simulator.run(oracle_runner.dist_graph()).makespan_ms, cold);
+
+  // A straggler for steps 3-4, then a device failure and a re-plan at step
+  // 5. Fault-free steps cost the deployed per-iteration time exactly, before
+  // and after the re-plan; straggler steps scale it by the makespan, in the
+  // same order, of the fault-scaled graph.
+  faults::FaultPlan plan;
+  plan.events = {straggler(0, 2.0, 3, 5), device_failure(c.fails, 5)};
+  const faults::FaultScaling scaling =
+      faults::scaling_at(plan, oracle_runner.cluster(), 3);
+  const double slow =
+      simulator
+          .run(sim::apply_fault_scaling(oracle_runner.dist_graph(),
+                                        oracle_runner.cluster(), scaling))
+          .makespan_ms;
+  const double iter = deployment.per_iteration_ms;
+  const RunStats oracle = oracle_runner.run(7, plan);
+  const RunStats monitor = runner(true).run(7, plan);
+  for (const RunStats* stats : {&oracle, &monitor}) {
+    SCOPED_TRACE(stats == &oracle ? "oracle" : "monitor");
+    ASSERT_EQ(stats->step_ms.size(), 7u);
+    ASSERT_EQ(stats->recoveries.size(), 1u);
+    EXPECT_EQ(stats->recoveries[0].fault_step, 5);
+    const double replanned = stats->recoveries[0].post_fault_iteration_ms;
+    for (size_t s = 0; s < 3; ++s) EXPECT_EQ(stats->step_ms[s], iter) << "step " << s;
+    for (size_t s = 3; s < 5; ++s) {
+      EXPECT_EQ(stats->step_ms[s], iter * slow / cold) << "step " << s;
+    }
+    for (size_t s = 5; s < 7; ++s) EXPECT_EQ(stats->step_ms[s], replanned) << "step " << s;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OnlineHealth, DeployedOrder,
+    ::testing::Values(
+        DeployedOrderCase{"ChainedRanks", models::ModelKind::kMobileNetV2, 96,
+                          cluster::make_fig3_testbed, sched::OrderPolicy::kRankPriority,
+                          1},
+        DeployedOrderCase{"PlainRanks", models::ModelKind::kMobileNetV2, 64,
+                          cluster::make_paper_testbed_8gpu,
+                          sched::OrderPolicy::kPlainRanks, 5},
+        DeployedOrderCase{"Fifo", models::ModelKind::kInceptionV3, 32,
+                          cluster::make_paper_testbed_8gpu, sched::OrderPolicy::kFifo,
+                          5}),
+    [](const ::testing::TestParamInfo<DeployedOrderCase>& info) {
+      return std::string(info.param.label);
+    });
 
 TEST(OnlineHealth, ReplanDeadlineDegradesToHeuristicReplan) {
   HeteroGConfig config = online_config();

@@ -73,6 +73,44 @@ TEST_F(PlanEvalTest, HeteroGOrderNeverWorseThanFifo) {
   }
 }
 
+TEST_F(PlanEvalTest, RecordsTheFirstStrictlyFastestOrder) {
+  // The tryout keeps the first strictly fastest of chained ranks, plain
+  // ranks and FIFO, and records it; a FIFO request tries FIFO alone.
+  const auto g = models::build_training(models::ModelKind::kInceptionV3, 0, 32);
+  const auto grouping = strategy::Grouping::build(g, *rig_.costs, 48);
+  const compile::GraphCompiler compiler(*rig_.costs);
+  sim::PlanEvalOptions fifo;
+  fifo.policy = sched::OrderPolicy::kFifo;
+  for (int idx : {8, 9, 10, 11, 0}) {
+    SCOPED_TRACE("action " + std::to_string(idx));
+    const auto map = strategy::StrategyMap::uniform(grouping.group_count(),
+                                                    Action::from_index(idx, 8));
+    const auto compiled = compiler.compile(g, grouping, map);
+    sched::OrderPolicy fastest = sched::OrderPolicy::kRankPriority;
+    double fastest_ms = 0.0;
+    for (const auto order : {sched::OrderPolicy::kRankPriority,
+                             sched::OrderPolicy::kPlainRanks, sched::OrderPolicy::kFifo}) {
+      sim::SimOptions options;
+      options.policy = order;
+      const double ms = sim::Simulator(options).run(compiled.graph).makespan_ms;
+      if (order == sched::OrderPolicy::kRankPriority || ms < fastest_ms) {
+        fastest = order;
+        fastest_ms = ms;
+      }
+    }
+    const auto eval = sim::evaluate_plan(*rig_.costs, g, grouping, map);
+    EXPECT_EQ(eval.order, fastest);
+    EXPECT_EQ(eval.cold_iteration_ms, fastest_ms);
+    EXPECT_EQ(sim::evaluate_plan(*rig_.costs, g, grouping, map, fifo).order,
+              sched::OrderPolicy::kFifo);
+  }
+  sim::PlanEvalOptions plain;
+  plain.policy = sched::OrderPolicy::kPlainRanks;
+  const auto map = strategy::StrategyMap::uniform(
+      grouping_.group_count(), Action::dp(ReplicationMode::kEven, CommMethod::kPS));
+  EXPECT_THROW(sim::evaluate_plan(*rig_.costs, graph_, grouping_, map, plain), CheckError);
+}
+
 TEST_F(PlanEvalTest, CompilerOptionsChangeTheOutcome) {
   const auto map = strategy::StrategyMap::uniform(
       grouping_.group_count(), Action::dp(ReplicationMode::kEven, CommMethod::kAllReduce));

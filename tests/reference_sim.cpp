@@ -266,19 +266,16 @@ sim::SimResult reference_run(const compile::DistGraph& graph,
                              const std::vector<double>& priorities,
                              const sim::SimOptions& options) {
   sim::validate_for_simulation(graph, &priorities);
-  return options.policy == sched::OrderPolicy::kRankPriority
-             ? sim::run_simulation<sim::RankOrder>(graph, priorities, options)
-             : sim::run_simulation<sim::FifoOrder>(graph, priorities, options);
+  return options.policy == sched::OrderPolicy::kFifo
+             ? sim::run_simulation<sim::FifoOrder>(graph, priorities, options)
+             : sim::run_simulation<sim::RankOrder>(graph, priorities, options);
 }
 
 sim::SimResult reference_run(const compile::DistGraph& graph,
                              const sim::SimOptions& options) {
-  if (options.policy == sched::OrderPolicy::kRankPriority) {
-    return reference_run(graph, sched::rank_priorities(graph), options);
-  }
-  // FIFO ignores priorities; arrival order decides.
-  const std::vector<double> zeros(static_cast<size_t>(graph.node_count()), 0.0);
-  return reference_run(graph, zeros, options);
+  return reference_run(
+      graph, sched::priorities(graph, graph.topological_order(), options.policy),
+      options);
 }
 
 }  // namespace heterog::testing

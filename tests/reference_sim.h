@@ -21,8 +21,8 @@ sim::SimResult reference_run(const compile::DistGraph& graph,
                              const std::vector<double>& priorities,
                              const sim::SimOptions& options = sim::SimOptions());
 
-/// Like sim::Simulator::run: rank priorities under the rank policy, arrival
-/// order under FIFO.
+/// Like sim::Simulator::run: the priorities sched::priorities gives
+/// `options.policy`.
 sim::SimResult reference_run(const compile::DistGraph& graph,
                              const sim::SimOptions& options = sim::SimOptions());
 

@@ -63,8 +63,7 @@ void expect_identical(const SimResult& oracle, const SimResult& candidate,
 
 std::vector<double> priorities_for(const compile::DistGraph& graph,
                                    OrderPolicy policy) {
-  if (policy == OrderPolicy::kRankPriority) return sched::rank_priorities(graph);
-  return std::vector<double>(static_cast<size_t>(graph.node_count()), 0.0);
+  return sched::priorities(graph, graph.topological_order(), policy);
 }
 
 strategy::Action random_action(std::mt19937& rng, int device_count) {
@@ -263,7 +262,7 @@ TEST(SimDiffTest, FaultInjectorPathsAgree) {
   plan.events.push_back(dead);
 
   SimOptions options;
-  sim::FaultInjector injector(compiled.graph, rig.cluster, plan, options);
+  sim::FaultInjector injector(compiled.graph, rig.cluster, plan, options.policy);
   // The injector times steps without memory tracking; so does the oracle.
   options.track_memory = false;
   auto expect_step_agrees = [&](int step, const compile::DistGraph& active,
@@ -295,7 +294,7 @@ TEST(SimDiffTest, FaultInjectorPathsAgree) {
   testing::TestRig survivors(rig.cluster.remove_device(1));
   const std::vector<int> new_id_of = {0, -1, 1, 2, 3, 4, 5, 6};
   const auto replanned = survivors.compile_uniform(graph, dp);
-  injector.apply_replan(replanned.graph, survivors.cluster, new_id_of);
+  injector.apply_replan(replanned.graph, survivors.cluster, new_id_of, options.policy);
   const faults::FaultPlan remapped =
       faults::remap_plan(plan, new_id_of, survivors.cluster);
   ASSERT_EQ(remapped.events.size(), 2u);  // the failure left with its device

@@ -166,36 +166,17 @@ std::unique_ptr<obs::EventLog> open_metrics(const Args& args, bool* failed) {
   return log;
 }
 
-struct ModelEntry {
-  const char* name;
-  models::ModelKind kind;
-  int default_layers;
-  const char* note;
-};
-constexpr ModelEntry kModels[] = {
-    {"vgg19", models::ModelKind::kVgg19, 0, "16 conv + 3 FC, parameter-heavy FCs"},
-    {"resnet200", models::ModelKind::kResNet200, 0, "bottleneck stages [3,24,36,3]"},
-    {"inception_v3", models::ModelKind::kInceptionV3, 0, "11 branched modules"},
-    {"mobilenet_v2", models::ModelKind::kMobileNetV2, 0, "17 inverted residuals"},
-    {"nasnet", models::ModelKind::kNasNet, 0, "18 heavily-branched cells"},
-    {"transformer", models::ModelKind::kTransformer, 6, "--layers selects depth"},
-    {"bert", models::ModelKind::kBertLarge, 24, "--layers selects depth"},
-    {"xlnet", models::ModelKind::kXlnetLarge, 24, "--layers selects depth"},
+struct ModelChoice {
+  std::string name;
+  models::ModelKind kind = models::ModelKind::kVgg19;
+  int default_layers = 0;
 };
 
-std::optional<ModelEntry> find_model(const std::string& name) {
-  for (const auto& m : kModels) {
-    if (name == m.name) return m;
-  }
-  return std::nullopt;
-}
-
-std::optional<cluster::ClusterSpec> find_cluster(const std::string& name) {
-  if (name == "8gpu") return cluster::make_paper_testbed_8gpu();
-  if (name == "12gpu") return cluster::make_paper_testbed_12gpu();
-  if (name == "fig3") return cluster::make_fig3_testbed();
-  if (name == "homog8") return cluster::make_homogeneous(8, cluster::GpuModel::kGtx1080Ti, 2);
-  return std::nullopt;
+std::optional<ModelChoice> find_model(const std::string& name) {
+  ModelChoice m;
+  m.name = name;
+  if (!models::parse_model_name(name, &m.kind, &m.default_layers)) return std::nullopt;
+  return m;
 }
 
 /// Resolves the target cluster: --cluster-gen takes a generator preset name
@@ -222,7 +203,7 @@ std::optional<cluster::ClusterSpec> resolve_cluster(const Args& args) {
       return std::nullopt;
     }
   }
-  return find_cluster(args.get("cluster", "8gpu"));
+  return cluster::cluster_from_name(args.get("cluster", "8gpu"));
 }
 
 /// The cluster name recorded in telemetry / printed in summaries.
@@ -316,16 +297,18 @@ void print_breakdown(const strategy::StrategyBreakdown& bd) {
 
 int cmd_models() {
   std::printf("%-14s %-8s %s\n", "name", "layers", "notes");
-  for (const auto& m : kModels) {
-    std::printf("%-14s %-8d %s\n", m.name, m.default_layers, m.note);
+  for (const std::string& name : models::known_model_names()) {
+    const ModelChoice m = *find_model(name);
+    std::printf("%-14s %-8d %s\n", name.c_str(), m.default_layers,
+                models::model_note(m.kind));
   }
   return 0;
 }
 
 int cmd_clusters() {
-  for (const char* name : {"8gpu", "12gpu", "fig3", "homog8"}) {
-    const auto c = find_cluster(name);
-    std::printf("%-8s %s\n", name, c->summary().c_str());
+  for (const std::string& name : cluster::known_cluster_names()) {
+    const auto c = cluster::cluster_from_name(name);
+    std::printf("%-8s %s\n", name.c_str(), c->summary().c_str());
   }
   std::printf("generator presets (--cluster-gen NAME [--cluster-seed N]):\n");
   for (const auto& name : cluster::topo_preset_names()) {
@@ -396,8 +379,8 @@ int cmd_plan(const Args& args) {
   const auto runner = get_runner(
       [&] { return models::build_forward(model->kind, layers, batch); }, *cluster_spec,
       config);
-  std::printf("model=%s layers=%d batch=%g cluster=%s\n", model->name, layers, batch,
-              cluster_label(args).c_str());
+  std::printf("model=%s layers=%d batch=%g cluster=%s\n", model->name.c_str(), layers,
+              batch, cluster_label(args).c_str());
   std::printf("plan: %.1f ms / iteration, feasible=%s\n", runner.per_iteration_ms(),
               runner.feasible() ? "yes" : "no");
   const auto& search = runner.search_result();
@@ -578,7 +561,7 @@ int cmd_run(const Args& args) {
   const auto runner = get_runner(
       [&] { return models::build_forward(model->kind, layers, batch); }, *cluster_spec,
       config);
-  std::printf("model=%s layers=%d batch=%g cluster=%s health=%s\n", model->name,
+  std::printf("model=%s layers=%d batch=%g cluster=%s health=%s\n", model->name.c_str(),
               layers, batch, cluster_label(args).c_str(),
               config.health.enabled ? "on" : "off");
   std::printf("plan: %.1f ms / iteration, feasible=%s\n", runner.per_iteration_ms(),
@@ -663,7 +646,7 @@ int cmd_resume(const Args& args) {
   if (!open_plan_store(args, metrics.get(), &plan_store)) return 1;
 
   std::printf("resuming %s: model=%s layers=%d batch=%g at step %d/%d\n", path.c_str(),
-              model->name, layers, batch, journal.watermark, journal.total_steps);
+              model->name.c_str(), layers, batch, journal.watermark, journal.total_steps);
   const auto stats = resume_run(
       path, [&] { return models::build_forward(model->kind, layers, batch); }, copts,
       metrics.get(), plan_store.get());
@@ -839,7 +822,7 @@ int cmd_evaluate(const Args& args) {
     const compile::GraphCompiler compiler(costs);
     const auto compiled = compiler.compile(*eval_graph, grouping, map);
     sim::SimOptions sim_options;
-    sim_options.policy = options.policy;
+    sim_options.policy = eval.order;
     const auto result = sim::Simulator(sim_options).run(compiled.graph);
     if (args.has("trace")) {
       if (!sim::write_chrome_trace(args.get("trace"), compiled.graph, result)) {
