@@ -1,9 +1,7 @@
 #include "ckpt/journal.h"
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "common/atomic_file.h"
 #include "common/crc32.h"
@@ -17,369 +15,180 @@ namespace {
   throw JournalError("run journal: " + why);
 }
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);  // round-trips doubles exactly
-  return buf;
-}
+/// Cap on every count and line-counted block: a crafted count fails as out
+/// of range instead of driving a huge loop.
+constexpr size_t kMaxCount = 100'000'000;
 
-/// Strict sequential reader over the checksummed body's lines.
-class LineReader {
- public:
-  explicit LineReader(const std::string& body) {
-    size_t start = 0;
-    while (start < body.size()) {
-      size_t nl = body.find('\n', start);
-      if (nl == std::string::npos) nl = body.size();
-      lines_.push_back(body.substr(start, nl - start));
-      start = nl + 1;
-    }
-  }
-
-  bool done() const { return pos_ >= lines_.size(); }
-
-  const std::string& peek() const {
-    if (done()) fail("unexpected end of journal");
-    return lines_[pos_];
-  }
-
-  std::string next() {
-    std::string line = peek();
-    ++pos_;
-    return line;
-  }
-
-  /// Consumes the next line, requiring it to start with `key` + ' ', and
-  /// returns the remainder.
-  std::string field(const std::string& key) {
-    const std::string line = next();
-    if (line.rfind(key + " ", 0) != 0) {
-      fail("expected \"" + key + " ...\", got \"" + line + "\"");
-    }
-    return line.substr(key.size() + 1);
-  }
-
-  /// Consumes the next line, requiring it to equal `literal` exactly.
-  void expect(const std::string& literal) {
-    const std::string line = next();
-    if (line != literal) fail("expected \"" + literal + "\", got \"" + line + "\"");
-  }
-
- private:
-  std::vector<std::string> lines_;
-  size_t pos_ = 0;
-};
-
-template <typename T>
-T parse_num(const std::string& text, const std::string& what) {
-  std::istringstream is(text);
-  T value{};
-  if (!(is >> value)) fail("malformed " + what + ": \"" + text + "\"");
-  std::string extra;
-  if (is >> extra) fail("trailing garbage in " + what + ": \"" + text + "\"");
-  return value;
-}
-
-/// Counts are parsed signed and range-checked so a crafted journal cannot
-/// drive a gigantic reserve() into std::length_error / bad_alloc (those are
-/// not JournalErrors).
-size_t parse_count(const std::string& text, const std::string& what) {
-  const long long n = parse_num<long long>(text, what);
-  constexpr long long kMax = 100'000'000;
-  if (n < 0 || n > kMax) fail(what + " out of range: " + std::to_string(n));
-  return static_cast<size_t>(n);
-}
-
-bool parse_bool(const std::string& text, const std::string& what) {
-  if (text == "0") return false;
-  if (text == "1") return true;
-  fail("malformed " + what + " (want 0 or 1): \"" + text + "\"");
-}
-
-/// Splits off and string-verifies the final "crc <hex>" line; returns the
-/// checksummed body. The trailer protocol itself (shared with the plan/eval
-/// store) lives in common/record_io.
-std::string verify_crc_trailer(const std::string& text) {
-  CrcTrailerResult r = strip_crc_trailer(text);
-  if (!r.ok) fail("journal " + r.error);
-  return std::move(r.body);
-}
-
-}  // namespace
-
-std::string to_text(const RunJournal& j) {
-  std::ostringstream os;
-  os << "heterog-journal v" << j.version << "\n";
-  os << "model " << j.model_name << "\n";
-  for (const auto& [key, value] : j.meta) os << "meta " << key << " " << value << "\n";
-  os << "ckpt-every " << j.ckpt_every << "\n";
-  os << "rng-seed " << j.profiler_seed << "\n";
-  os << "order-scheduling " << (j.use_order_scheduling ? 1 : 0) << "\n";
-  os << "max-groups " << j.max_groups << "\n";
-  os << "fault-handling " << j.fh_max_retries << " " << fmt(j.fh_retry_backoff_ms)
-     << " " << fmt(j.fh_max_backoff_ms) << " " << j.fh_replan_rl_episodes << " "
-     << (j.fh_deterministic_walls ? 1 : 0) << "\n";
-
-  os << "cluster-begin\n";
-  os << "switch " << fmt(j.cluster.switch_gbps()) << "\n";
-  for (const auto& h : j.cluster.hosts()) {
-    os << "host " << h.id << " " << fmt(h.nic_gbps) << " " << fmt(h.intra_gbps) << " "
-       << h.name << "\n";
-  }
-  for (const auto& d : j.cluster.devices()) {
-    os << "device " << d.id << " " << static_cast<int>(d.model) << " " << d.host << " "
-       << fmt(d.gflops_per_ms) << " " << d.memory_bytes << " " << d.name << "\n";
-  }
-  for (const auto& [pair, scale] : j.cluster.host_link_scales()) {
-    os << "link " << pair.first << " " << pair.second << " " << fmt(scale) << "\n";
-  }
-  // Optional switch-topology lines: only written when a topology is attached,
-  // so flat-cluster journals stay byte-identical to the pre-topology format.
-  if (j.cluster.has_topology()) {
-    const auto& topo = j.cluster.topology();
-    os << "tor " << fmt(topo.tor_gbps) << "\n";
-    for (size_t h = 0; h < topo.rack_of_host.size(); ++h) {
-      os << "rack " << h << " " << topo.rack_of_host[h] << "\n";
-    }
-    for (const auto& tier : topo.tiers) {
-      os << "tier " << fmt(tier.gbps) << " " << tier.group_size << "\n";
-    }
-  }
-  os << "cluster-end\n";
-  os << "fingerprint " << crc32_hex(j.cluster_crc) << "\n";
-
-  os << "total-steps " << j.total_steps << "\n";
-  os << "watermark " << j.watermark << "\n";
-  os << "transient-retries " << j.transient_retries << "\n";
-  os << "retry-backoff-ms " << fmt(j.retry_backoff_total_ms) << "\n";
-  os << "step-ms " << j.step_ms.size() << "\n";
-  for (const double ms : j.step_ms) os << fmt(ms) << "\n";
-  os << "recoveries " << j.recoveries.size() << "\n";
-  for (const auto& r : j.recoveries) {
-    os << "recovery " << r.fault_step << " " << r.steps_lost << " "
-       << r.surviving_devices << " " << (r.post_plan_oom ? 1 : 0) << " "
-       << (r.escalated_transient ? 1 : 0) << " " << fmt(r.replan_wall_ms) << " "
-       << fmt(r.pre_fault_iteration_ms) << " " << fmt(r.post_fault_iteration_ms) << " "
-       << r.failed_devices.size();
-    for (const auto d : r.failed_devices) os << " " << d;
-    os << " " << r.detection_attempts << " " << (r.degraded ? 1 : 0);
-    os << "\n";
-  }
-
-  os << "grouping " << j.grouping_assignment.size() << "\n";
-  for (size_t i = 0; i < j.grouping_assignment.size(); ++i) {
-    os << (i ? " " : "") << j.grouping_assignment[i];
-  }
-  os << "\n";
-
-  // Embedded documents are line-counted so their content can never be
-  // confused with journal fields (a plan line is just bytes here).
-  const auto count_lines = [](const std::string& text) {
-    size_t n = 0;
-    for (const char c : text) n += c == '\n';
-    if (!text.empty() && text.back() != '\n') ++n;
-    return n;
-  };
-  os << "plan-lines " << count_lines(j.plan_text) << "\n";
-  os << j.plan_text;
-  if (!j.plan_text.empty() && j.plan_text.back() != '\n') os << "\n";
-  os << "fault-plan-lines " << count_lines(j.fault_plan_json) << "\n";
-  os << j.fault_plan_json;
-  if (!j.fault_plan_json.empty() && j.fault_plan_json.back() != '\n') os << "\n";
-  // Optional trailing block: only written when online health monitoring ran,
-  // so health-free journals stay byte-identical to the pre-health format.
-  if (!j.health_state.empty()) {
-    os << "health-lines " << count_lines(j.health_state) << "\n";
-    os << j.health_state;
-    if (j.health_state.back() != '\n') os << "\n";
-  }
-
-  return with_crc_trailer(os.str());
-}
-
-RunJournal parse_journal(const std::string& text) {
-  const std::string body = verify_crc_trailer(text);
-  LineReader in(body);
-
+RunJournal parse_body(std::string_view body) {
+  LineCursor in(body);
   RunJournal j;
+  if (!in.at("heterog-journal")) fail("not a heterog-journal file");
   {
-    const std::string magic = in.next();
-    if (magic.rfind("heterog-journal v", 0) != 0) fail("not a heterog-journal file");
-    j.version = parse_num<int>(magic.substr(std::string("heterog-journal v").size()),
-                               "version");
+    Fields magic = in.field("heterog-journal");
+    const std::string_view version = magic.word("version");
+    magic.finish();
+    if (version.substr(0, 1) != "v") fail("not a heterog-journal file");
+    j.version = Fields(version.substr(1)).integer("journal version");
     if (j.version != 1) {
       fail("unsupported journal version " + std::to_string(j.version));
     }
   }
-  j.model_name = in.field("model");
-  while (!in.done() && in.peek().rfind("meta ", 0) == 0) {
-    const std::string rest = in.field("meta");
-    const size_t space = rest.find(' ');
-    if (space == std::string::npos) fail("malformed meta line: \"" + rest + "\"");
-    j.meta[rest.substr(0, space)] = rest.substr(space + 1);
+  j.model_name = in.rest("model");
+  while (in.at("meta")) {
+    Fields meta = in.field("meta");
+    const std::string key(meta.word("meta key"));
+    j.meta[key] = meta.rest();
   }
-  j.ckpt_every = parse_num<int>(in.field("ckpt-every"), "ckpt-every");
-  j.profiler_seed = parse_num<uint64_t>(in.field("rng-seed"), "rng-seed");
-  j.use_order_scheduling = parse_bool(in.field("order-scheduling"), "order-scheduling");
-  j.max_groups = parse_num<int>(in.field("max-groups"), "max-groups");
+  j.ckpt_every = in.integer("ckpt-every", 0);
+  j.profiler_seed = in.integer<uint64_t>("rng-seed");
+  j.use_order_scheduling = in.flag("order-scheduling");
+  j.max_groups = in.integer("max-groups");
   {
-    std::istringstream is(in.field("fault-handling"));
-    if (!(is >> j.fh_max_retries >> j.fh_retry_backoff_ms >> j.fh_max_backoff_ms >>
-          j.fh_replan_rl_episodes)) {
-      fail("malformed fault-handling line");
-    }
-    int det_walls = 0;  // optional (absent in pre-health journals)
-    if (is >> det_walls) j.fh_deterministic_walls = det_walls != 0;
+    Fields fh = in.field("fault-handling");
+    j.fh_max_retries = fh.integer("max retries");
+    j.fh_retry_backoff_ms = fh.real("retry backoff");
+    j.fh_max_backoff_ms = fh.real("max backoff");
+    j.fh_replan_rl_episodes = fh.integer("re-plan episodes");
+    // Optional (absent in pre-health journals).
+    if (!fh.done()) j.fh_deterministic_walls = fh.flag("deterministic walls");
+    fh.finish();
   }
-
-  in.expect("cluster-begin");
-  const double switch_gbps = parse_num<double>(in.field("switch"), "switch");
-  std::vector<cluster::HostSpec> hosts;
-  std::vector<cluster::DeviceSpec> devices;
-  std::map<std::pair<int, int>, double> link_scales;
-  while (!in.done() && in.peek().rfind("host ", 0) == 0) {
-    std::istringstream is(in.field("host"));
-    cluster::HostSpec h;
-    if (!(is >> h.id >> h.nic_gbps >> h.intra_gbps)) fail("malformed host line");
-    std::getline(is, h.name);
-    if (!h.name.empty() && h.name.front() == ' ') h.name.erase(0, 1);
-    hosts.push_back(std::move(h));
-  }
-  while (!in.done() && in.peek().rfind("device ", 0) == 0) {
-    std::istringstream is(in.field("device"));
-    cluster::DeviceSpec d;
-    int model = -1;
-    if (!(is >> d.id >> model >> d.host >> d.gflops_per_ms >> d.memory_bytes)) {
-      fail("malformed device line");
-    }
-    if (model < 0 || model >= cluster::kGpuModelCount) {
-      fail("unknown GPU model id " + std::to_string(model));
-    }
-    d.model = static_cast<cluster::GpuModel>(model);
-    std::getline(is, d.name);
-    if (!d.name.empty() && d.name.front() == ' ') d.name.erase(0, 1);
-    devices.push_back(std::move(d));
-  }
-  while (!in.done() && in.peek().rfind("link ", 0) == 0) {
-    std::istringstream is(in.field("link"));
-    int a = -1, b = -1;
-    double factor = 1.0;
-    if (!(is >> a >> b >> factor)) fail("malformed link line");
-    link_scales[{a, b}] = factor;
-  }
-  // Optional topology block (absent in pre-topology journals).
-  cluster::TopologySpec topo;
-  if (!in.done() && in.peek().rfind("tor ", 0) == 0) {
-    topo.tor_gbps = parse_num<double>(in.field("tor"), "tor");
-    topo.rack_of_host.assign(hosts.size(), 0);
-    while (!in.done() && in.peek().rfind("rack ", 0) == 0) {
-      std::istringstream is(in.field("rack"));
-      int h = -1, rack = -1;
-      if (!(is >> h >> rack)) fail("malformed rack line");
-      if (h < 0 || h >= static_cast<int>(hosts.size())) {
-        fail("rack line references unknown host " + std::to_string(h));
-      }
-      topo.rack_of_host[static_cast<size_t>(h)] = rack;
-    }
-    while (!in.done() && in.peek().rfind("tier ", 0) == 0) {
-      std::istringstream is(in.field("tier"));
-      cluster::SwitchTierSpec tier;
-      if (!(is >> tier.gbps >> tier.group_size)) fail("malformed tier line");
-      topo.tiers.push_back(tier);
-    }
-  }
-  in.expect("cluster-end");
   try {
-    j.cluster = cluster::ClusterSpec(std::move(hosts), std::move(devices), switch_gbps,
-                                     std::move(link_scales));
-    if (!topo.empty()) j.cluster = j.cluster.with_topology(std::move(topo));
+    j.cluster = cluster::parse_cluster_block(in);
   } catch (const cluster::ClusterSpecError& e) {
     fail(std::string("embedded cluster invalid: ") + e.what());
   }
   {
-    const std::string fp = in.field("fingerprint");
-    if (fp.size() != 8) fail("malformed fingerprint line");
-    uint32_t value = 0;
-    for (const char c : fp) {
-      if (c >= '0' && c <= '9') value = value * 16 + static_cast<uint32_t>(c - '0');
-      else if (c >= 'a' && c <= 'f') value = value * 16 + static_cast<uint32_t>(c - 'a' + 10);
-      else fail("malformed fingerprint line");
-    }
-    j.cluster_crc = value;
+    Fields fp = in.field("fingerprint");
+    j.cluster_crc = fp.hex<uint32_t>("fingerprint");
+    fp.finish();
   }
 
-  j.total_steps = parse_num<int>(in.field("total-steps"), "total-steps");
-  j.watermark = parse_num<int>(in.field("watermark"), "watermark");
-  j.transient_retries = parse_num<int>(in.field("transient-retries"), "transient-retries");
-  j.retry_backoff_total_ms =
-      parse_num<double>(in.field("retry-backoff-ms"), "retry-backoff-ms");
-  const size_t n_steps = parse_count(in.field("step-ms"), "step-ms count");
-  j.step_ms.reserve(n_steps);
+  j.total_steps = in.integer("total-steps", 0);
+  j.watermark = in.integer("watermark", 0);
+  j.transient_retries = in.integer("transient-retries");
+  j.retry_backoff_total_ms = in.real("retry-backoff-ms");
+  const size_t n_steps = in.integer<size_t>("step-ms", 0, kMaxCount);
   for (size_t i = 0; i < n_steps; ++i) {
-    j.step_ms.push_back(parse_num<double>(in.next(), "step time"));
+    Fields step = in.line();
+    j.step_ms.push_back(step.real("step time"));
+    step.finish();
   }
-  const size_t n_recoveries = parse_count(in.field("recoveries"), "recovery count");
+  const size_t n_recoveries = in.integer<size_t>("recoveries", 0, kMaxCount);
   for (size_t i = 0; i < n_recoveries; ++i) {
-    std::istringstream is(in.field("recovery"));
+    Fields f = in.field("recovery");
     RecoveryRecord r;
-    int oom = 0, escalated = 0;
-    size_t n_failed = 0;
-    if (!(is >> r.fault_step >> r.steps_lost >> r.surviving_devices >> oom >>
-          escalated >> r.replan_wall_ms >> r.pre_fault_iteration_ms >>
-          r.post_fault_iteration_ms >> n_failed)) {
-      fail("malformed recovery line");
-    }
-    r.post_plan_oom = oom != 0;
-    r.escalated_transient = escalated != 0;
+    r.fault_step = f.integer("fault step");
+    r.steps_lost = f.integer("steps lost");
+    r.surviving_devices = f.integer("surviving devices");
+    r.post_plan_oom = f.flag("post-plan OOM");
+    r.escalated_transient = f.flag("escalated transient");
+    r.replan_wall_ms = f.real("re-plan wall");
+    r.pre_fault_iteration_ms = f.real("pre-fault iteration");
+    r.post_fault_iteration_ms = f.real("post-fault iteration");
+    const size_t n_failed = f.integer<size_t>("failed device count", 0, kMaxCount);
     for (size_t k = 0; k < n_failed; ++k) {
-      cluster::DeviceId d = -1;
-      if (!(is >> d)) fail("malformed recovery line (device list)");
-      r.failed_devices.push_back(d);
+      r.failed_devices.push_back(f.integer<cluster::DeviceId>("failed device"));
     }
     // Optional online-detection fields (absent in pre-health journals).
-    if (is >> r.detection_attempts) {
-      int degraded = 0;
-      if (is >> degraded) r.degraded = degraded != 0;
+    if (!f.done()) {
+      r.detection_attempts = f.integer("detection attempts");
+      if (!f.done()) r.degraded = f.flag("degraded");
     }
+    f.finish();
     j.recoveries.push_back(std::move(r));
   }
 
-  const size_t n_ops = parse_count(in.field("grouping"), "grouping count");
+  const size_t n_ops = in.integer<size_t>("grouping", 0, kMaxCount);
   {
-    std::istringstream is(in.next());
-    j.grouping_assignment.reserve(n_ops);
+    Fields groups = in.line();
     for (size_t i = 0; i < n_ops; ++i) {
-      int32_t g = -1;
-      if (!(is >> g)) fail("truncated grouping assignment");
-      j.grouping_assignment.push_back(g);
+      j.grouping_assignment.push_back(groups.integer<int32_t>("group id"));
     }
-    std::string extra;
-    if (is >> extra) fail("trailing garbage in grouping assignment");
+    groups.finish();
   }
 
-  const auto read_block = [&](const char* key) {
-    const size_t n_lines = parse_count(in.field(key), key);
-    std::string block;
-    for (size_t i = 0; i < n_lines; ++i) block += in.next() + "\n";
-    return block;
-  };
-  j.plan_text = read_block("plan-lines");
-  j.fault_plan_json = read_block("fault-plan-lines");
-  if (!in.done() && in.peek().rfind("health-lines ", 0) == 0) {
-    j.health_state = read_block("health-lines");
-  }
-  if (!in.done()) fail("trailing garbage after fault plan block");
+  j.plan_text = in.block("plan-lines", kMaxCount);
+  j.fault_plan_json = in.block("fault-plan-lines", kMaxCount);
+  // Optional (written only when online health monitoring ran).
+  if (in.at("health-lines")) j.health_state = in.block("health-lines", kMaxCount);
+  in.finish();
 
   // Internal consistency beyond per-field syntax.
-  if (j.total_steps < 0 || j.watermark < 0 || j.watermark > j.total_steps) {
+  if (j.watermark > j.total_steps) {
     fail("watermark " + std::to_string(j.watermark) + " outside [0, total-steps=" +
          std::to_string(j.total_steps) + "]");
   }
   if (j.step_ms.size() != static_cast<size_t>(j.watermark)) {
     fail("step-ms count does not match watermark");
   }
-  if (j.ckpt_every < 0) fail("negative ckpt-every");
   return j;
+}
+
+}  // namespace
+
+std::string to_text(const RunJournal& j) {
+  const auto flag = [](bool b) { return b ? std::string("1") : std::string("0"); };
+  std::string out = "heterog-journal v" + std::to_string(j.version) + "\n";
+  out += "model " + j.model_name + "\n";
+  for (const auto& [key, value] : j.meta) out += "meta " + key + " " + value + "\n";
+  out += "ckpt-every " + std::to_string(j.ckpt_every) + "\n";
+  out += "rng-seed " + std::to_string(j.profiler_seed) + "\n";
+  out += "order-scheduling " + flag(j.use_order_scheduling) + "\n";
+  out += "max-groups " + std::to_string(j.max_groups) + "\n";
+  out += "fault-handling " + std::to_string(j.fh_max_retries) + " " +
+         format_double(j.fh_retry_backoff_ms) + " " + format_double(j.fh_max_backoff_ms) +
+         " " + std::to_string(j.fh_replan_rl_episodes) + " " +
+         flag(j.fh_deterministic_walls) + "\n";
+  out += cluster::cluster_block(j.cluster);
+  out += "fingerprint " + crc32_hex(j.cluster_crc) + "\n";
+
+  out += "total-steps " + std::to_string(j.total_steps) + "\n";
+  out += "watermark " + std::to_string(j.watermark) + "\n";
+  out += "transient-retries " + std::to_string(j.transient_retries) + "\n";
+  out += "retry-backoff-ms " + format_double(j.retry_backoff_total_ms) + "\n";
+  out += "step-ms " + std::to_string(j.step_ms.size()) + "\n";
+  for (const double ms : j.step_ms) out += format_double(ms) + "\n";
+  out += "recoveries " + std::to_string(j.recoveries.size()) + "\n";
+  for (const auto& r : j.recoveries) {
+    out += "recovery " + std::to_string(r.fault_step) + " " +
+           std::to_string(r.steps_lost) + " " + std::to_string(r.surviving_devices) +
+           " " + flag(r.post_plan_oom) + " " + flag(r.escalated_transient) + " " +
+           format_double(r.replan_wall_ms) + " " +
+           format_double(r.pre_fault_iteration_ms) + " " +
+           format_double(r.post_fault_iteration_ms) + " " +
+           std::to_string(r.failed_devices.size());
+    for (const auto d : r.failed_devices) out += " " + std::to_string(d);
+    out += " " + std::to_string(r.detection_attempts) + " " + flag(r.degraded) + "\n";
+  }
+
+  out += "grouping " + std::to_string(j.grouping_assignment.size()) + "\n";
+  for (size_t i = 0; i < j.grouping_assignment.size(); ++i) {
+    if (i) out += ' ';
+    out += std::to_string(j.grouping_assignment[i]);
+  }
+  out += '\n';
+
+  // Embedded documents are line-counted so their content can never be
+  // confused with journal fields (a plan line is just bytes here).
+  append_block(out, "plan-lines", j.plan_text);
+  append_block(out, "fault-plan-lines", j.fault_plan_json);
+  // Optional trailing block: only written when online health monitoring ran,
+  // so health-free journals stay byte-identical to the pre-health format.
+  if (!j.health_state.empty()) append_block(out, "health-lines", j.health_state);
+
+  return with_crc_trailer(std::move(out));
+}
+
+RunJournal parse_journal(const std::string& text) {
+  // The trailer is verified before a single field is parsed.
+  const CrcTrailerResult checked = strip_crc_trailer(text);
+  if (!checked.ok) fail("journal " + checked.error);
+  try {
+    return parse_body(checked.body);
+  } catch (const ParseError& e) {
+    fail(e.what());
+  }
 }
 
 bool save_journal(const std::string& path, const RunJournal& journal) {
@@ -393,11 +202,9 @@ bool save_journal(const std::string& path, const RunJournal& journal) {
 }
 
 RunJournal load_journal(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) fail("cannot read journal file: " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return parse_journal(buffer.str());
+  const std::optional<std::string> text = read_file(path);
+  if (!text) fail("cannot read journal file: " + path);
+  return parse_journal(*text);
 }
 
 std::string CheckpointOptions::journal_path() const {

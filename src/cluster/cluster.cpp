@@ -1,11 +1,12 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/crc32.h"
+#include "common/record_io.h"
 
 namespace heterog::cluster {
 
@@ -492,52 +493,150 @@ std::string ClusterSpec::summary() const {
 
 uint32_t cluster_fingerprint(const ClusterSpec& cluster) {
   // Canonical text over capability + topology (names excluded: renaming a
-  // host must not invalidate a plan). %.17g round-trips doubles exactly.
+  // host must not invalidate a plan). Lists the parts cluster_block writes,
+  // in the same order.
   std::ostringstream os;
-  char buf[64];
-  const auto num = [&](double v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
-  };
-  os << "switch=";
-  num(cluster.switch_gbps());
+  os << "switch=" << format_double(cluster.switch_gbps());
   for (const auto& h : cluster.hosts()) {
-    os << ";h" << h.id << ":";
-    num(h.nic_gbps);
-    os << ":";
-    num(h.intra_gbps);
+    os << ";h" << h.id << ":" << format_double(h.nic_gbps) << ":"
+       << format_double(h.intra_gbps);
   }
   for (const auto& d : cluster.devices()) {
-    os << ";d" << d.id << ":" << static_cast<int>(d.model) << ":" << d.host << ":";
-    num(d.gflops_per_ms);
-    os << ":" << d.memory_bytes;
+    os << ";d" << d.id << ":" << static_cast<int>(d.model) << ":" << d.host << ":"
+       << format_double(d.gflops_per_ms) << ":" << d.memory_bytes;
   }
   for (const auto& [pair, scale] : cluster.host_link_scales()) {
-    os << ";l" << pair.first << "-" << pair.second << ":";
-    num(scale);
+    os << ";l" << pair.first << "-" << pair.second << ":" << format_double(scale);
   }
   // Topology section only when attached, so flat-cluster fingerprints (and
   // every plan/journal written before topologies existed) stay stable.
   if (cluster.has_topology()) {
     const TopologySpec& topo = cluster.topology();
-    os << ";tor=";
-    num(topo.tor_gbps);
+    os << ";tor=" << format_double(topo.tor_gbps);
     for (size_t h = 0; h < topo.rack_of_host.size(); ++h) {
       os << ";r" << h << ":" << topo.rack_of_host[h];
     }
     for (size_t t = 0; t < topo.tiers.size(); ++t) {
-      os << ";t" << t << ":";
-      num(topo.tiers[t].gbps);
-      os << ":" << topo.tiers[t].group_size;
+      os << ";t" << t << ":" << format_double(topo.tiers[t].gbps) << ":"
+         << topo.tiers[t].group_size;
     }
     // Only degraded switches contribute, so undegraded fingerprints (and
     // every plan/journal written before switch faults existed) stay stable.
     for (const auto& [coord, scale] : cluster.switch_scales()) {
-      os << ";w" << coord.first << "-" << coord.second << ":";
-      num(scale);
+      os << ";w" << coord.first << "-" << coord.second << ":" << format_double(scale);
     }
   }
   return crc32(os.str());
+}
+
+std::string cluster_block(const ClusterSpec& cluster) {
+  std::string out =
+      "cluster-begin\nswitch " + format_double(cluster.switch_gbps()) + "\n";
+  for (const auto& h : cluster.hosts()) {
+    out += "host " + std::to_string(h.id) + " " + format_double(h.nic_gbps) + " " +
+           format_double(h.intra_gbps) + " " + h.name + "\n";
+  }
+  for (const auto& d : cluster.devices()) {
+    out += "device " + std::to_string(d.id) + " " +
+           std::to_string(static_cast<int>(d.model)) + " " + std::to_string(d.host) +
+           " " + format_double(d.gflops_per_ms) + " " + std::to_string(d.memory_bytes) +
+           " " + d.name + "\n";
+  }
+  for (const auto& [pair, scale] : cluster.host_link_scales()) {
+    out += "link " + std::to_string(pair.first) + " " + std::to_string(pair.second) +
+           " " + format_double(scale) + "\n";
+  }
+  // Topology lines only when attached, so flat-cluster journals stay
+  // byte-identical to the pre-topology format; switch-scale lines only for
+  // degraded switches, for the same reason.
+  if (cluster.has_topology()) {
+    const TopologySpec& topo = cluster.topology();
+    out += "tor " + format_double(topo.tor_gbps) + "\n";
+    for (size_t h = 0; h < topo.rack_of_host.size(); ++h) {
+      out += "rack " + std::to_string(h) + " " + std::to_string(topo.rack_of_host[h]) +
+             "\n";
+    }
+    for (const auto& tier : topo.tiers) {
+      out += "tier " + format_double(tier.gbps) + " " + std::to_string(tier.group_size) +
+             "\n";
+    }
+    for (const auto& [coord, scale] : cluster.switch_scales()) {
+      out += "switch-scale " + std::to_string(coord.first) + " " +
+             std::to_string(coord.second) + " " + format_double(scale) + "\n";
+    }
+  }
+  out += "cluster-end\n";
+  return out;
+}
+
+ClusterSpec parse_cluster_block(LineCursor& in) {
+  in.expect("cluster-begin");
+  const double switch_gbps = in.real("switch");
+  std::vector<HostSpec> hosts;
+  while (in.at("host")) {
+    Fields f = in.field("host");
+    HostSpec h;
+    h.id = f.integer("host id");
+    h.nic_gbps = f.real("NIC bandwidth");
+    h.intra_gbps = f.real("intra-host bandwidth");
+    h.name = f.rest();
+    hosts.push_back(std::move(h));
+  }
+  std::vector<DeviceSpec> devices;
+  while (in.at("device")) {
+    Fields f = in.field("device");
+    DeviceSpec d;
+    d.id = f.integer<DeviceId>("device id");
+    d.model = static_cast<GpuModel>(f.integer("GPU model id", 0, kGpuModelCount - 1));
+    d.host = f.integer("device host");
+    d.gflops_per_ms = f.real("device compute");
+    d.memory_bytes = f.integer<int64_t>("device memory");
+    d.name = f.rest();
+    devices.push_back(std::move(d));
+  }
+  std::map<std::pair<int, int>, double> link_scales;
+  while (in.at("link")) {
+    Fields f = in.field("link");
+    const int a = f.integer("link host");
+    const int b = f.integer("link host");
+    link_scales[{a, b}] = f.real("link scale");
+    f.finish();
+  }
+  TopologySpec topo;
+  std::vector<std::tuple<int, int, double>> switch_scales;
+  if (in.at("tor")) {
+    topo.tor_gbps = in.real("tor");
+    topo.rack_of_host.assign(hosts.size(), 0);
+    while (in.at("rack")) {
+      Fields f = in.field("rack");
+      const int host = f.integer("rack host", 0, static_cast<int>(hosts.size()) - 1);
+      topo.rack_of_host[static_cast<size_t>(host)] = f.integer("rack id");
+      f.finish();
+    }
+    while (in.at("tier")) {
+      Fields f = in.field("tier");
+      SwitchTierSpec tier;
+      tier.gbps = f.real("tier bandwidth");
+      tier.group_size = f.integer("tier group size");
+      f.finish();
+      topo.tiers.push_back(tier);
+    }
+    while (in.at("switch-scale")) {
+      Fields f = in.field("switch-scale");
+      const int level = f.integer("switch level");
+      const int index = f.integer("switch index");
+      switch_scales.emplace_back(level, index, f.real("switch scale"));
+      f.finish();
+    }
+  }
+  in.expect("cluster-end");
+  ClusterSpec out(std::move(hosts), std::move(devices), switch_gbps,
+                  std::move(link_scales));
+  if (!topo.empty()) out = out.with_topology(std::move(topo));
+  for (const auto& [level, index, factor] : switch_scales) {
+    out = out.degrade_switch(level, index, factor);
+  }
+  return out;
 }
 
 namespace {
@@ -669,7 +768,11 @@ ClusterSpec scale_network_bandwidth(const ClusterSpec& base, double factor) {
     TopologySpec topo = base.topology();
     topo.tor_gbps *= factor;
     for (auto& tier : topo.tiers) tier.gbps *= factor;
+    // Same switch graph, so the degraded switches' coordinates still hold.
     out = out.with_topology(std::move(topo));
+    for (const auto& [coord, scale] : base.switch_scales()) {
+      out = out.degrade_switch(coord.first, coord.second, scale);
+    }
   }
   return out;
 }

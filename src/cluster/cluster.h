@@ -19,6 +19,10 @@
 
 #include "common/check.h"
 
+namespace heterog {
+class LineCursor;
+}
+
 namespace heterog::cluster {
 
 /// Thrown when a ClusterSpec is constructed from malformed inputs (empty
@@ -246,11 +250,24 @@ double gbps_to_bytes_per_ms(double gbps);
 
 /// CRC-32 fingerprint of everything that affects planning: per-device model,
 /// host, compute power and memory; per-host NIC / intra-host bandwidth;
-/// switch bandwidth; accumulated link degradations. Cosmetic names are
-/// excluded. Two clusters with equal fingerprints are interchangeable for
-/// plan deployment; the v2 plan format and the run journal embed this value
-/// so a plan can refuse to deploy onto hardware it was not made for.
+/// switch bandwidth; accumulated link degradations; the switch topology and
+/// its degraded switches. Cosmetic names are excluded. Two clusters with
+/// equal fingerprints are interchangeable for plan deployment; the v2 plan
+/// format and the run journal embed this value so a plan can refuse to
+/// deploy onto hardware it was not made for.
 uint32_t cluster_fingerprint(const ClusterSpec& cluster);
+
+/// The run journal's text form of `cluster`: the lines between
+/// "cluster-begin" and "cluster-end" list every part cluster_fingerprint
+/// hashes, in the same order, plus the host and device names. Topology lines
+/// ("tor", "rack", "tier", "switch-scale") appear only when a topology is
+/// attached, and "switch-scale" lines only for degraded switches.
+std::string cluster_block(const ClusterSpec& cluster);
+
+/// Reads one cluster_block back, so that the result fingerprints like the
+/// cluster written. Throws ParseError (common/record_io) on a malformed line
+/// and ClusterSpecError when the lines describe an invalid cluster.
+ClusterSpec parse_cluster_block(LineCursor& in);
 
 /// Builders -------------------------------------------------------------
 
@@ -280,7 +297,8 @@ ClusterSpec make_fig3_testbed();
 ClusterSpec make_motivation_cluster();
 
 /// Copy of `base` with every NIC and switch bandwidth scaled by `factor`
-/// (intra-host fabric unchanged). Used for bandwidth-sensitivity studies —
+/// (intra-host fabric unchanged; link and switch degradations kept). Used
+/// for bandwidth-sensitivity studies —
 /// the paper notes that strategies must change when bandwidth changes.
 ClusterSpec scale_network_bandwidth(const ClusterSpec& base, double factor);
 

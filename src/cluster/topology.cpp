@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/json.h"
+#include "common/record_io.h"
 #include "common/rng.h"
 
 namespace heterog::cluster {
@@ -70,7 +71,7 @@ void emit_mix(std::ostringstream& os, const char* key,
   for (const auto& [name, weight] : mix) {
     if (!first) os << ", ";
     first = false;
-    os << "\"" << name << "\": " << json::number(weight);
+    os << "\"" << name << "\": " << format_double(weight);
   }
   os << "}";
 }
@@ -214,8 +215,8 @@ std::string topo_gen_to_json(const TopoGenOptions& options) {
   os << ", \"racks\": " << options.racks;
   os << ", \"hosts_per_rack\": " << options.hosts_per_rack;
   os << ", \"gpus_per_host\": " << options.gpus_per_host;
-  os << ", \"tor_gbps\": " << json::number(options.tor_gbps);
-  os << ", \"oversubscription\": " << json::number(options.oversubscription);
+  os << ", \"tor_gbps\": " << format_double(options.tor_gbps);
+  os << ", \"oversubscription\": " << format_double(options.oversubscription);
   os << ", \"racks_per_pod\": " << options.racks_per_pod;
   os << ", ";
   emit_mix(os, "gpu_mix", options.gpu_mix);
@@ -262,21 +263,19 @@ TopoGenOptions parse_topo_gen_json(const std::string& text) {
 }
 
 TopoGenOptions load_topo_gen_options(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw TopoSpecError("cannot read topology spec file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_topo_gen_json(buffer.str());
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw TopoSpecError("cannot read topology spec file: " + path);
+  return parse_topo_gen_json(*text);
 }
 
 std::string cluster_to_json(const ClusterSpec& cluster) {
   std::ostringstream os;
-  os << "{\"switch_gbps\": " << json::number(cluster.switch_gbps());
+  os << "{\"switch_gbps\": " << format_double(cluster.switch_gbps());
   os << ", \"hosts\": [";
   for (const auto& h : cluster.hosts()) {
     if (h.id) os << ", ";
-    os << "{\"id\": " << h.id << ", \"nic_gbps\": " << json::number(h.nic_gbps)
-       << ", \"intra_gbps\": " << json::number(h.intra_gbps);
+    os << "{\"id\": " << h.id << ", \"nic_gbps\": " << format_double(h.nic_gbps)
+       << ", \"intra_gbps\": " << format_double(h.intra_gbps);
     if (cluster.has_topology()) {
       os << ", \"rack\": " << cluster.topology().rack_of_host[static_cast<size_t>(h.id)];
     }
@@ -287,7 +286,7 @@ std::string cluster_to_json(const ClusterSpec& cluster) {
     if (d.id) os << ", ";
     os << "{\"id\": " << d.id << ", \"host\": " << d.host << ", \"model\": \""
        << gpu_model_name(d.model) << "\", \"gflops_per_ms\": "
-       << json::number(d.gflops_per_ms) << ", \"memory_bytes\": " << d.memory_bytes
+       << format_double(d.gflops_per_ms) << ", \"memory_bytes\": " << d.memory_bytes
        << "}";
   }
   os << "], \"link_scales\": [";
@@ -295,16 +294,16 @@ std::string cluster_to_json(const ClusterSpec& cluster) {
   for (const auto& [pair, scale] : cluster.host_link_scales()) {
     if (!first) os << ", ";
     first = false;
-    os << "[" << pair.first << ", " << pair.second << ", " << json::number(scale) << "]";
+    os << "[" << pair.first << ", " << pair.second << ", " << format_double(scale) << "]";
   }
   os << "]";
   if (cluster.has_topology()) {
     const TopologySpec& topo = cluster.topology();
-    os << ", \"topology\": {\"tor_gbps\": " << json::number(topo.tor_gbps)
+    os << ", \"topology\": {\"tor_gbps\": " << format_double(topo.tor_gbps)
        << ", \"tiers\": [";
     for (size_t t = 0; t < topo.tiers.size(); ++t) {
       if (t) os << ", ";
-      os << "[" << json::number(topo.tiers[t].gbps) << ", " << topo.tiers[t].group_size
+      os << "[" << format_double(topo.tiers[t].gbps) << ", " << topo.tiers[t].group_size
          << "]";
     }
     os << "]";
@@ -317,7 +316,7 @@ std::string cluster_to_json(const ClusterSpec& cluster) {
         if (!first_sw) os << ", ";
         first_sw = false;
         os << "[" << coord.first << ", " << coord.second << ", "
-           << json::number(scale) << "]";
+           << format_double(scale) << "]";
       }
       os << "]";
     }

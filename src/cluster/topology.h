@@ -66,7 +66,7 @@ struct TopoGenOptions {
 ClusterSpec generate_cluster(const TopoGenOptions& options);
 
 /// Canonical JSON for the generator options; parse_topo_gen_json round-trips
-/// it byte-identically (doubles via %.17g).
+/// it byte-identically (doubles via format_double).
 std::string topo_gen_to_json(const TopoGenOptions& options);
 
 /// Parses generator options from JSON (schema in docs/topology.md). Unknown

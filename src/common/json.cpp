@@ -1,7 +1,6 @@
 #include "common/json.h"
 
 #include <cctype>
-#include <cstdio>
 
 namespace heterog::json {
 
@@ -184,11 +183,5 @@ class Parser {
 }  // namespace
 
 Value parse(const std::string& text) { return Parser(text).parse(); }
-
-std::string number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return std::string(buf);
-}
 
 }  // namespace heterog::json

@@ -1,5 +1,6 @@
-// Minimal JSON reader and number formatter shared by the fault-plan loader
-// (faults/fault_json.cpp) and the topology-spec loader (cluster/topology.cpp).
+// Minimal JSON reader shared by the fault-plan loader (faults/fault_json.cpp)
+// and the topology-spec loader (cluster/topology.cpp). Their writers print
+// numbers with common/record_io's format_double.
 //
 // Hand-rolled recursive descent: the project takes no JSON library
 // dependency, and both schemas are small. It reads one value of the full grammar
@@ -37,9 +38,5 @@ class ParseError : public std::runtime_error {
 /// A number must convert in full: "1-2", "4e" and "100.0.5" are errors, not
 /// their longest valid prefix. Throws ParseError.
 Value parse(const std::string& text);
-
-/// `v` as %.17g, which round-trips every finite double exactly (the default
-/// ostream precision of 6 significant digits does not).
-std::string number(double v);
 
 }  // namespace heterog::json

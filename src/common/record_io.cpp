@@ -1,7 +1,10 @@
 #include "common/record_io.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 #include "common/crc32.h"
 
@@ -11,18 +14,21 @@ namespace {
 
 constexpr std::string_view kRecPrefix = "rec ";
 
-/// Parses a bounded non-negative decimal from [begin, end); returns false on
-/// empty input, non-digits, or a value above `max` (overflow-safe).
+/// A bounded non-negative decimal of at most 20 digits; false on empty
+/// input, non-digits, or a value above `max`.
 bool parse_bounded(std::string_view text, size_t max, size_t* out) {
-  if (text.empty() || text.size() > 20) return false;
   size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<size_t>(c - '0');
-    if (value > max) return false;
-  }
+  if (text.size() > 20 || !read_number(text, &value) || value > max) return false;
   *out = value;
   return true;
+}
+
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' || c == '\f';
+}
+
+std::string quoted(std::string_view token) {
+  return "\"" + std::string(token) + "\"";
 }
 
 }  // namespace
@@ -172,6 +178,161 @@ CrcTrailerResult strip_crc_trailer(const std::string& text) {
   r.ok = true;
   r.body = std::move(body);
   return r;
+}
+
+std::string format_double(double v) {
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return std::string(buf, static_cast<size_t>(n));
+}
+
+std::string format_shortest(double v) {
+  for (int precision = 1; precision <= 16; ++precision) {
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    double parsed = 0.0;
+    if (read_number(std::string_view(buf, static_cast<size_t>(n)), &parsed) &&
+        parsed == v) {
+      return std::string(buf, static_cast<size_t>(n));
+    }
+  }
+  return format_double(v);
+}
+
+void Fields::fail(const std::string& why) const {
+  if (line_no_ > 0) throw ParseError("line " + std::to_string(line_no_) + ": " + why);
+  throw ParseError(why);
+}
+
+void Fields::malformed(std::string_view what, std::string_view token) const {
+  fail("malformed " + std::string(what) + " " + quoted(token));
+}
+
+bool Fields::done() {
+  while (pos_ < line_.size() && is_space(line_[pos_])) ++pos_;
+  return pos_ >= line_.size();
+}
+
+std::string_view Fields::word(std::string_view what) {
+  if (done()) fail("missing " + std::string(what));
+  const size_t start = pos_;
+  while (pos_ < line_.size() && !is_space(line_[pos_])) ++pos_;
+  return line_.substr(start, pos_ - start);
+}
+
+double Fields::real(std::string_view what) {
+  const std::string_view token = word(what);
+  double value = 0.0;
+  if (!read_number(token, &value)) malformed(what, token);
+  return value;
+}
+
+bool Fields::flag(std::string_view what) {
+  const std::string_view token = word(what);
+  if (token != "0" && token != "1") malformed(what, token);
+  return token == "1";
+}
+
+std::string_view Fields::rest() {
+  if (pos_ < line_.size()) ++pos_;  // the one separator
+  const std::string_view text = line_.substr(pos_);
+  pos_ = line_.size();
+  return text;
+}
+
+void Fields::finish() {
+  if (!done()) fail("trailing garbage " + quoted(line_.substr(pos_)));
+}
+
+std::string_view LineCursor::peek() const {
+  const size_t nl = text_.find('\n', pos_);
+  return text_.substr(pos_, nl == std::string_view::npos ? nl : nl - pos_);
+}
+
+bool LineCursor::at(std::string_view key) const {
+  if (done()) return false;
+  Fields fields(peek());
+  return !fields.done() && fields.word("key") == key;
+}
+
+std::string_view LineCursor::next() {
+  if (done()) {
+    throw ParseError("line " + std::to_string(line_no_ + 1) + ": unexpected end");
+  }
+  const std::string_view line = peek();
+  pos_ = std::min(pos_ + line.size() + 1, text_.size());
+  ++line_no_;
+  return line;
+}
+
+Fields LineCursor::field(std::string_view key) {
+  const std::string_view text = next();
+  Fields fields(text, line_no_);
+  if (fields.done() || fields.word("key") != key) {
+    throw ParseError("line " + std::to_string(line_no_) + ": expected \"" +
+                     std::string(key) + " ...\", got " + quoted(text));
+  }
+  return fields;
+}
+
+void LineCursor::expect(std::string_view literal) {
+  const std::string_view text = next();
+  if (text != literal) {
+    throw ParseError("line " + std::to_string(line_no_) + ": expected " +
+                     quoted(literal) + ", got " + quoted(text));
+  }
+}
+
+double LineCursor::real(std::string_view key) {
+  Fields fields = field(key);
+  const double value = fields.real(key);
+  fields.finish();
+  return value;
+}
+
+bool LineCursor::flag(std::string_view key) {
+  Fields fields = field(key);
+  const bool value = fields.flag(key);
+  fields.finish();
+  return value;
+}
+
+std::string LineCursor::block(std::string_view key, size_t max_lines) {
+  const size_t lines = integer<size_t>(key, 0, max_lines);
+  std::string out;
+  for (size_t i = 0; i < lines; ++i) {
+    const std::string_view text = next();
+    out.append(text.data(), text.size());
+    out += '\n';
+  }
+  return out;
+}
+
+void LineCursor::finish() const {
+  if (!done()) {
+    throw ParseError("line " + std::to_string(line_no_ + 1) + ": trailing garbage " +
+                     quoted(peek()));
+  }
+}
+
+void append_block(std::string& out, std::string_view key, std::string_view text) {
+  size_t lines = 0;
+  for (const char c : text) lines += c == '\n';
+  const bool open_last_line = !text.empty() && text.back() != '\n';
+  out.append(key.data(), key.size());
+  out += ' ';
+  out += std::to_string(lines + (open_last_line ? 1 : 0));
+  out += '\n';
+  out.append(text.data(), text.size());
+  if (open_last_line) out += '\n';
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return std::move(buffer).str();
 }
 
 }  // namespace heterog

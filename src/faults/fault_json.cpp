@@ -1,10 +1,11 @@
 // FaultPlan JSON loader and writer (schema in faults.h), over the shared
 // reader in common/json.h.
 #include <cmath>
-#include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/json.h"
+#include "common/record_io.h"
 #include "faults/faults.h"
 
 namespace heterog::faults {
@@ -111,11 +112,9 @@ FaultPlan parse_fault_plan_json(const std::string& text) {
 }
 
 FaultPlan load_fault_plan(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw FaultPlanError("cannot read fault plan file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_fault_plan_json(buffer.str());
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw FaultPlanError("cannot read fault plan file: " + path);
+  return parse_fault_plan_json(*text);
 }
 
 std::string fault_plan_to_json(const FaultPlan& plan) {
@@ -130,11 +129,12 @@ std::string fault_plan_to_json(const FaultPlan& plan) {
         os << ", \"device\": " << e.device;
         break;
       case FaultKind::kStraggler:
-        os << ", \"device\": " << e.device << ", \"slowdown\": " << json::number(e.slowdown);
+        os << ", \"device\": " << e.device
+           << ", \"slowdown\": " << format_double(e.slowdown);
         break;
       case FaultKind::kLinkDegradation:
         os << ", \"device_a\": " << e.device_a << ", \"device_b\": " << e.device_b
-           << ", \"bandwidth_factor\": " << json::number(e.bandwidth_factor);
+           << ", \"bandwidth_factor\": " << format_double(e.bandwidth_factor);
         break;
       case FaultKind::kTransient:
         os << ", \"device\": " << e.device
@@ -148,7 +148,7 @@ std::string fault_plan_to_json(const FaultPlan& plan) {
         break;
       case FaultKind::kSwitchDegradation:
         os << ", \"level\": " << e.level << ", \"switch\": " << e.switch_index
-           << ", \"bandwidth_factor\": " << json::number(e.bandwidth_factor);
+           << ", \"bandwidth_factor\": " << format_double(e.bandwidth_factor);
         break;
     }
     os << ", \"onset_step\": " << e.onset_step;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/record_io.h"
+
 namespace heterog::faults {
 
 const char* fault_kind_name(FaultKind kind) {
@@ -211,6 +213,8 @@ namespace {
 }  // namespace
 
 std::string FaultScaling::signature() const {
+  // Factors print in full, so nearly equal fault sets (slowdowns 2.0 and
+  // 2.000004) get distinct keys.
   std::ostringstream os;
   for (size_t d = 0; d < compute_slowdown.size(); ++d) {
     if (compute_slowdown[d] < 1.0) {
@@ -218,7 +222,9 @@ std::string FaultScaling::signature() const {
                    "compute slowdown " + std::to_string(compute_slowdown[d]) +
                        " < 1 on device " + std::to_string(d));
     }
-    if (compute_slowdown[d] > 1.0) os << "s" << d << ":" << compute_slowdown[d] << ";";
+    if (compute_slowdown[d] > 1.0) {
+      os << "s" << d << ":" << format_double(compute_slowdown[d]) << ";";
+    }
   }
   for (const auto& l : links) {
     if (l.factor <= 0.0 || l.factor >= 1.0) {
@@ -227,7 +233,7 @@ std::string FaultScaling::signature() const {
                        " outside (0, 1) on link G" + std::to_string(l.a) + "<->G" +
                        std::to_string(l.b));
     }
-    os << "l" << l.a << "-" << l.b << ":" << l.factor << ";";
+    os << "l" << l.a << "-" << l.b << ":" << format_double(l.factor) << ";";
   }
   for (auto d : failed) {
     if (d < 0) {
@@ -244,7 +250,7 @@ std::string FaultScaling::signature() const {
                        " outside (0, 1) on switch L" + std::to_string(s.level) +
                        "/S" + std::to_string(s.index));
     }
-    os << "w" << s.level << "-" << s.index << ":" << s.factor << ";";
+    os << "w" << s.level << "-" << s.index << ":" << format_double(s.factor) << ";";
   }
   for (auto d : isolated) {
     if (d < 0) {

@@ -2,30 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
+
+#include "common/record_io.h"
 
 namespace heterog::health {
 
 namespace {
 
-/// Round-trip double formatting shared by serialize()/deserialize(); matches
-/// the journal's convention so embedded state diffs cleanly.
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 [[noreturn]] void bad_state(const std::string& why) {
   throw HealthError("health state: " + why);
-}
-
-template <typename T>
-T parse_num(std::istringstream& is, const char* what) {
-  T value{};
-  if (!(is >> value)) bad_state(std::string("malformed ") + what);
-  return value;
 }
 
 }  // namespace
@@ -417,20 +403,24 @@ void HealthMonitor::on_replan(const std::vector<int>& new_id_of) {
 std::string HealthMonitor::serialize() const {
   std::ostringstream os;
   os << "health-v1\n";
-  os << "policy " << (policy_.enabled ? 1 : 0) << " " << fmt(policy_.ewma_alpha) << " "
-     << fmt(policy_.z_threshold) << " " << fmt(policy_.min_slowdown_ratio) << " "
+  os << "policy " << (policy_.enabled ? 1 : 0) << " "
+     << format_double(policy_.ewma_alpha) << " " << format_double(policy_.z_threshold)
+     << " " << format_double(policy_.min_slowdown_ratio) << " "
      << policy_.hysteresis_steps << " " << policy_.probation_steps << " "
-     << policy_.warmup_steps << " " << fmt(policy_.heartbeat_loss_probability) << " "
-     << fmt(policy_.phi_threshold) << " " << fmt(policy_.heartbeat_timeout_ms) << " "
+     << policy_.warmup_steps << " " << format_double(policy_.heartbeat_loss_probability)
+     << " " << format_double(policy_.phi_threshold) << " "
+     << format_double(policy_.heartbeat_timeout_ms) << " "
      << policy_.retry_budget << " " << policy_.max_replans << " "
      << (policy_.replan_on_straggler ? 1 : 0) << " "
-     << fmt(policy_.replan_deadline_ms) << "\n";
+     << format_double(policy_.replan_deadline_ms) << "\n";
   os << "run " << retries_charged_ << " " << replans_ << " " << (breaker_open_ ? 1 : 0)
-     << " " << fmt(step_mean_) << " " << fmt(step_var_) << " " << step_samples_ << "\n";
+     << " " << format_double(step_mean_) << " " << format_double(step_var_) << " "
+     << step_samples_ << "\n";
   os << "devices " << devices_.size() << "\n";
   for (const DeviceStats& d : devices_) {
-    os << "device " << static_cast<int>(d.state) << " " << fmt(d.mean) << " "
-       << fmt(d.var) << " " << d.samples << " " << fmt(d.last_busy_ms) << " "
+    os << "device " << static_cast<int>(d.state) << " " << format_double(d.mean) << " "
+       << format_double(d.var) << " " << d.samples << " "
+       << format_double(d.last_busy_ms) << " "
        << d.consecutive_slow << " " << d.consecutive_normal << " "
        << d.consecutive_misses << " " << d.anomaly_onset_step << "\n";
   }
@@ -442,8 +432,8 @@ std::string HealthMonitor::serialize() const {
   // attribution existed — the resume cross-check depends on that.
   if (!rack_of_device_.empty()) {
     os << "domain " << (policy_.domain_attribution ? 1 : 0) << " "
-       << fmt(policy_.domain_rack_fraction) << " " << policy_.domain_window_steps
-       << "\n";
+       << format_double(policy_.domain_rack_fraction) << " "
+       << policy_.domain_window_steps << "\n";
     os << "rackmap " << rack_of_device_.size();
     for (const int r : rack_of_device_) os << " " << r;
     os << "\n";
@@ -459,153 +449,97 @@ std::string HealthMonitor::serialize() const {
 
 HealthMonitor HealthMonitor::deserialize(const std::string& text,
                                          obs::EventLog* events) {
-  std::istringstream in(text);
-  std::string line;
-  auto next_line = [&](const char* what) {
-    if (!std::getline(in, line)) bad_state(std::string("truncated before ") + what);
-    return line;
-  };
-  if (next_line("header") != "health-v1") bad_state("bad header");
-
-  HealthPolicy policy;
-  {
-    std::istringstream is(next_line("policy"));
-    std::string tag;
-    int enabled = 0, straggler = 0;
-    is >> tag;
-    if (tag != "policy") bad_state("expected policy line");
-    enabled = parse_num<int>(is, "policy");
-    policy.ewma_alpha = parse_num<double>(is, "policy");
-    policy.z_threshold = parse_num<double>(is, "policy");
-    policy.min_slowdown_ratio = parse_num<double>(is, "policy");
-    policy.hysteresis_steps = parse_num<int>(is, "policy");
-    policy.probation_steps = parse_num<int>(is, "policy");
-    policy.warmup_steps = parse_num<int>(is, "policy");
-    policy.heartbeat_loss_probability = parse_num<double>(is, "policy");
-    policy.phi_threshold = parse_num<double>(is, "policy");
-    policy.heartbeat_timeout_ms = parse_num<double>(is, "policy");
-    policy.retry_budget = parse_num<int>(is, "policy");
-    policy.max_replans = parse_num<int>(is, "policy");
-    straggler = parse_num<int>(is, "policy");
-    policy.replan_deadline_ms = parse_num<double>(is, "policy");
-    policy.enabled = enabled != 0;
-    policy.replan_on_straggler = straggler != 0;
-  }
-
-  int retries = 0, replans = 0, breaker = 0, step_samples = 0;
-  double step_mean = 0.0, step_var = 0.0;
-  {
-    std::istringstream is(next_line("run"));
-    std::string tag;
-    is >> tag;
-    if (tag != "run") bad_state("expected run line");
-    retries = parse_num<int>(is, "run");
-    replans = parse_num<int>(is, "run");
-    breaker = parse_num<int>(is, "run");
-    step_mean = parse_num<double>(is, "run");
-    step_var = parse_num<double>(is, "run");
-    step_samples = parse_num<int>(is, "run");
-  }
-
-  size_t n_devices = 0;
-  {
-    std::istringstream is(next_line("devices"));
-    std::string tag;
-    is >> tag;
-    if (tag != "devices") bad_state("expected devices line");
-    const long long n = parse_num<long long>(is, "devices");
-    if (n < 1 || n > 1'000'000) bad_state("device count out of range");
-    n_devices = static_cast<size_t>(n);
-  }
-
-  HealthMonitor monitor(static_cast<int>(n_devices), policy, events);
-  monitor.retries_charged_ = retries;
-  monitor.replans_ = replans;
-  monitor.breaker_open_ = breaker != 0;
-  monitor.step_mean_ = step_mean;
-  monitor.step_var_ = step_var;
-  monitor.step_samples_ = step_samples;
-  for (size_t i = 0; i < n_devices; ++i) {
-    std::istringstream is(next_line("device"));
-    std::string tag;
-    is >> tag;
-    if (tag != "device") bad_state("expected device line");
-    DeviceStats d;
-    const int state = parse_num<int>(is, "device state");
-    if (state < 0 || state > static_cast<int>(DeviceState::kFailed)) {
-      bad_state("device state out of range");
-    }
-    d.state = static_cast<DeviceState>(state);
-    d.mean = parse_num<double>(is, "device");
-    d.var = parse_num<double>(is, "device");
-    d.samples = parse_num<int>(is, "device");
-    d.last_busy_ms = parse_num<double>(is, "device");
-    d.consecutive_slow = parse_num<int>(is, "device");
-    d.consecutive_normal = parse_num<int>(is, "device");
-    d.consecutive_misses = parse_num<int>(is, "device");
-    d.anomaly_onset_step = parse_num<int>(is, "device");
-    monitor.devices_[i] = d;
-  }
-  {
-    std::istringstream is(next_line("pending"));
-    std::string tag;
-    is >> tag;
-    if (tag != "pending") bad_state("expected pending line");
-    const long long n = parse_num<long long>(is, "pending");
-    if (n < 0 || n > static_cast<long long>(n_devices)) {
-      bad_state("pending count out of range");
-    }
-    for (long long i = 0; i < n; ++i) {
-      monitor.pending_failures_.push_back(parse_num<int>(is, "pending device"));
-    }
-  }
-  // Optional domain section (present iff the run had a rack map).
-  if (std::getline(in, line) && !line.empty()) {
+  try {
+    LineCursor in(text);
+    in.expect("health-v1");
+    HealthPolicy policy;
     {
-      std::istringstream is(line);
-      std::string tag;
-      is >> tag;
-      if (tag != "domain") bad_state("expected domain line");
-      monitor.policy_.domain_attribution = parse_num<int>(is, "domain") != 0;
-      monitor.policy_.domain_rack_fraction = parse_num<double>(is, "domain");
-      monitor.policy_.domain_window_steps = parse_num<int>(is, "domain");
+      Fields f = in.field("policy");
+      policy.enabled = f.flag("enabled");
+      policy.ewma_alpha = f.real("ewma_alpha");
+      policy.z_threshold = f.real("z_threshold");
+      policy.min_slowdown_ratio = f.real("min_slowdown_ratio");
+      policy.hysteresis_steps = f.integer("hysteresis_steps");
+      policy.probation_steps = f.integer("probation_steps");
+      policy.warmup_steps = f.integer("warmup_steps");
+      policy.heartbeat_loss_probability = f.real("heartbeat_loss_probability");
+      policy.phi_threshold = f.real("phi_threshold");
+      policy.heartbeat_timeout_ms = f.real("heartbeat_timeout_ms");
+      policy.retry_budget = f.integer("retry_budget");
+      policy.max_replans = f.integer("max_replans");
+      policy.replan_on_straggler = f.flag("replan_on_straggler");
+      policy.replan_deadline_ms = f.real("replan_deadline_ms");
+      f.finish();
+    }
+    Fields run = in.field("run");
+    const int retries = run.integer("retries charged");
+    const int replans = run.integer("re-plans");
+    const bool breaker = run.flag("breaker");
+    const double step_mean = run.real("step mean");
+    const double step_var = run.real("step variance");
+    const int step_samples = run.integer("step samples");
+    run.finish();
+    const int n_devices = in.integer("devices", 1, 1'000'000);
+
+    HealthMonitor monitor(n_devices, policy, events);
+    monitor.retries_charged_ = retries;
+    monitor.replans_ = replans;
+    monitor.breaker_open_ = breaker;
+    monitor.step_mean_ = step_mean;
+    monitor.step_var_ = step_var;
+    monitor.step_samples_ = step_samples;
+    for (DeviceStats& d : monitor.devices_) {
+      Fields f = in.field("device");
+      d.state = static_cast<DeviceState>(
+          f.integer("device state", 0, static_cast<int>(DeviceState::kFailed)));
+      d.mean = f.real("device mean");
+      d.var = f.real("device variance");
+      d.samples = f.integer("device samples");
+      d.last_busy_ms = f.real("device busy");
+      d.consecutive_slow = f.integer("consecutive slow");
+      d.consecutive_normal = f.integer("consecutive normal");
+      d.consecutive_misses = f.integer("consecutive misses");
+      d.anomaly_onset_step = f.integer("anomaly onset");
+      f.finish();
     }
     {
-      std::istringstream is(next_line("rackmap"));
-      std::string tag;
-      is >> tag;
-      if (tag != "rackmap") bad_state("expected rackmap line");
-      const long long n = parse_num<long long>(is, "rackmap");
-      if (n != static_cast<long long>(n_devices)) bad_state("rackmap count mismatch");
-      std::vector<int> racks;
-      for (long long i = 0; i < n; ++i) racks.push_back(parse_num<int>(is, "rackmap"));
-      monitor.rack_of_device_ = std::move(racks);
-    }
-    {
-      std::istringstream is(next_line("confirmed"));
-      std::string tag;
-      is >> tag;
-      if (tag != "confirmed") bad_state("expected confirmed line");
-      const long long n = parse_num<long long>(is, "confirmed");
-      if (n != static_cast<long long>(n_devices)) bad_state("confirmed count mismatch");
-      for (long long i = 0; i < n; ++i) {
-        monitor.devices_[static_cast<size_t>(i)].confirmed_step =
-            parse_num<int>(is, "confirmed step");
+      Fields f = in.field("pending");
+      const int n = f.integer("pending count", 0, n_devices);
+      for (int i = 0; i < n; ++i) {
+        monitor.pending_failures_.push_back(f.integer("pending device"));
       }
+      f.finish();
     }
-    {
-      std::istringstream is(next_line("verdicts"));
-      std::string tag;
-      is >> tag;
-      if (tag != "verdicts") bad_state("expected verdicts line");
-      const long long n = parse_num<long long>(is, "verdicts");
-      if (n < 0 || n > 1'000'000) bad_state("verdict count out of range");
-      for (long long i = 0; i < n; ++i) {
-        monitor.domain_verdicts_.push_back(parse_num<int>(is, "verdict rack"));
+    // Optional domain section (present iff the run had a rack map).
+    if (!in.done()) {
+      Fields domain = in.field("domain");
+      monitor.policy_.domain_attribution = domain.flag("domain attribution");
+      monitor.policy_.domain_rack_fraction = domain.real("domain rack fraction");
+      monitor.policy_.domain_window_steps = domain.integer("domain window");
+      domain.finish();
+      Fields racks = in.field("rackmap");
+      racks.integer("rackmap count", n_devices, n_devices);
+      monitor.rack_of_device_.resize(static_cast<size_t>(n_devices));
+      for (int& rack : monitor.rack_of_device_) rack = racks.integer("rack");
+      racks.finish();
+      Fields confirmed = in.field("confirmed");
+      confirmed.integer("confirmed count", n_devices, n_devices);
+      for (DeviceStats& d : monitor.devices_) {
+        d.confirmed_step = confirmed.integer("confirmed step");
       }
+      confirmed.finish();
+      Fields verdicts = in.field("verdicts");
+      const int n = verdicts.integer("verdict count", 0, 1'000'000);
+      for (int i = 0; i < n; ++i) {
+        monitor.domain_verdicts_.push_back(verdicts.integer("verdict rack"));
+      }
+      verdicts.finish();
     }
+    in.finish();
+    return monitor;
+  } catch (const ParseError& e) {
+    bad_state(e.what());
   }
-  return monitor;
 }
 
 }  // namespace heterog::health

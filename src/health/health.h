@@ -230,8 +230,9 @@ class HealthMonitor {
   const HealthPolicy& policy() const { return policy_; }
   const HealthSummary& summary() const { return summary_; }
 
-  /// Byte-exact state snapshot (doubles in round-trip %.17g form). The
-  /// journal embeds this so resume can prove replay determinism.
+  /// Byte-exact state snapshot (doubles via common/record_io's
+  /// format_double). The journal embeds this so resume can prove replay
+  /// determinism.
   std::string serialize() const;
   /// Rebuilds a monitor from serialize() output. Throws HealthError on
   /// malformed input.

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "common/check.h"
+#include "common/record_io.h"
 
 namespace heterog::obs {
 
@@ -30,19 +32,6 @@ void append_escaped(std::string& out, const std::string& value) {
     }
   }
   out += '"';
-}
-
-void append_double(std::string& out, double value) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    char candidate[40];
-    std::snprintf(candidate, sizeof(candidate), "%.*g", precision, value);
-    double parsed = 0.0;
-    std::sscanf(candidate, "%lf", &parsed);
-    if (parsed == value) {
-      out += candidate;
-      return;
-    }
-  }
 }
 
 }  // namespace
@@ -141,7 +130,7 @@ std::string Event::to_json(uint64_t seq) const {
     out += ':';
     switch (f.kind) {
       case Kind::kInt: out += std::to_string(f.int_value); break;
-      case Kind::kDouble: append_double(out, f.double_value); break;
+      case Kind::kDouble: out += format_shortest(f.double_value); break;
       case Kind::kBool: out += f.bool_value ? "true" : "false"; break;
       case Kind::kString: append_escaped(out, f.string_value); break;
     }
@@ -319,15 +308,9 @@ ParsedEvent parse_line(const std::string& line, int line_no) {
 }  // namespace
 
 std::vector<ParsedEvent> read_events(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) throw EventLogError("cannot read " + path);
-  std::string content;
-  char buffer[4096];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    content.append(buffer, n);
-  }
-  std::fclose(file);
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw EventLogError("cannot read " + path);
+  const std::string& content = *text;
 
   std::vector<ParsedEvent> events;
   size_t start = 0;

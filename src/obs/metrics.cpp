@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "common/check.h"
+#include "common/record_io.h"
 
 namespace heterog::obs {
 
@@ -14,24 +14,6 @@ int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// Shortest-round-trip double rendering, shared with the event log.
-void append_double(std::string& out, double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  // Prefer the shortest representation that parses back exactly.
-  for (int precision = 1; precision <= 16; ++precision) {
-    char candidate[40];
-    std::snprintf(candidate, sizeof(candidate), "%.*g", precision, value);
-    double parsed = 0.0;
-    std::sscanf(candidate, "%lf", &parsed);
-    if (parsed == value) {
-      out += candidate;
-      return;
-    }
-  }
-  out += buffer;
 }
 
 void append_json_key(std::string& out, const std::string& key) {
@@ -137,7 +119,7 @@ std::string MetricsSnapshot::to_json() const {
     if (!first) out += ',';
     first = false;
     append_json_key(out, name);
-    append_double(out, value);
+    out += format_shortest(value);
   }
   out += "},\"histograms\":{";
   first = true;
@@ -146,15 +128,15 @@ std::string MetricsSnapshot::to_json() const {
     first = false;
     append_json_key(out, name);
     out += "{\"count\":" + std::to_string(h.count) + ",\"sum\":";
-    append_double(out, h.sum);
+    out += format_shortest(h.sum);
     out += ",\"min\":";
-    append_double(out, h.min);
+    out += format_shortest(h.min);
     out += ",\"max\":";
-    append_double(out, h.max);
+    out += format_shortest(h.max);
     out += ",\"bounds\":[";
     for (size_t i = 0; i < h.upper_bounds.size(); ++i) {
       if (i > 0) out += ',';
-      append_double(out, h.upper_bounds[i]);
+      out += format_shortest(h.upper_bounds[i]);
     }
     out += "],\"buckets\":[";
     for (size_t i = 0; i < h.counts.size(); ++i) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/record_io.h"
 #include "common/stats.h"
 #include "common/table.h"
 
@@ -213,13 +214,17 @@ bool write_convergence_csv(const std::string& path,
                "cache_hits,cache_misses,wall_ms\n");
   for (const ParsedEvent& e : events) {
     if (e.type != "search_episode") continue;
-    std::fprintf(file, "%d,%.17g,%d,%.17g,%.17g,%.17g,%llu,%llu,%.17g\n",
-                 static_cast<int>(e.number("episode")), e.number("best_ms"),
-                 e.number("best_feasible") != 0.0 ? 1 : 0, e.number("mean_reward"),
-                 e.number("baseline"), e.number("entropy"),
-                 static_cast<unsigned long long>(e.number("cache_hits")),
-                 static_cast<unsigned long long>(e.number("cache_misses")),
-                 e.number("wall_ms"));
+    const std::string row =
+        std::to_string(static_cast<int>(e.number("episode"))) + "," +
+        format_double(e.number("best_ms")) + "," +
+        (e.number("best_feasible") != 0.0 ? "1" : "0") + "," +
+        format_double(e.number("mean_reward")) + "," +
+        format_double(e.number("baseline")) + "," +
+        format_double(e.number("entropy")) + "," +
+        std::to_string(static_cast<unsigned long long>(e.number("cache_hits"))) + "," +
+        std::to_string(static_cast<unsigned long long>(e.number("cache_misses"))) + "," +
+        format_double(e.number("wall_ms")) + "\n";
+    std::fputs(row.c_str(), file);
   }
   std::fclose(file);
   return true;

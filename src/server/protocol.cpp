@@ -6,11 +6,8 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
+#include <cmath>
 #include <cstring>
-#include <map>
-#include <vector>
 
 #include "common/record_io.h"
 
@@ -21,78 +18,9 @@ namespace {
 constexpr std::string_view kRequestMagic = "heterog-rpc v1 request";
 constexpr std::string_view kReplyMagic = "heterog-rpc v1 reply";
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);  // round-trips doubles exactly
-  return buf;
-}
-
-/// Strict full-consumption numeric parses: "12x" or "" is malformed, not 12.
-bool parse_double(std::string_view text, double* out) {
-  if (text.empty() || text.size() >= 63) return false;
-  char buf[64];
-  std::memcpy(buf, text.data(), text.size());
-  buf[text.size()] = '\0';
-  char* end = nullptr;
-  const double v = std::strtod(buf, &end);
-  if (end != buf + text.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_int(std::string_view text, long long min, long long max, long long* out) {
-  if (text.empty() || text.size() >= 63) return false;
-  char buf[64];
-  std::memcpy(buf, text.data(), text.size());
-  buf[text.size()] = '\0';
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(buf, &end, 10);
-  if (errno == ERANGE || end != buf + text.size() || v < min || v > max) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_u64(std::string_view text, uint64_t* out) {
-  if (text.empty() || text.size() >= 63) return false;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-  }
-  char buf[64];
-  std::memcpy(buf, text.data(), text.size());
-  buf[text.size()] = '\0';
-  errno = 0;
-  const unsigned long long v = std::strtoull(buf, nullptr, 10);
-  if (errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-/// Splits a payload into lines (newline-terminated or final fragment).
-std::vector<std::string_view> split_lines(std::string_view text) {
-  std::vector<std::string_view> lines;
-  size_t start = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    lines.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return lines;
-}
-
 bool fail(std::string* error, std::string why) {
   *error = std::move(why);
   return false;
-}
-
-/// "key value" split at the first space; value may contain spaces.
-bool split_kv(std::string_view line, std::string_view* key, std::string_view* value) {
-  const size_t space = line.find(' ');
-  if (space == std::string_view::npos || space == 0) return false;
-  *key = line.substr(0, space);
-  *value = line.substr(space + 1);
-  return true;
 }
 
 }  // namespace
@@ -126,66 +54,57 @@ std::string encode_request(const PlanRequest& request) {
   out += '\n';
   out += "model " + request.model + '\n';
   out += "layers " + std::to_string(request.layers) + '\n';
-  out += "batch " + fmt_double(request.batch) + '\n';
+  out += "batch " + format_double(request.batch) + '\n';
   out += "cluster " + request.cluster + '\n';
   out += "episodes " + std::to_string(request.episodes) + '\n';
-  out += "deadline_ms " + fmt_double(request.deadline_ms) + '\n';
+  out += "deadline_ms " + format_double(request.deadline_ms) + '\n';
   out += "seed " + std::to_string(request.seed) + '\n';
   return out;
 }
 
 bool decode_request(std::string_view payload, PlanRequest* out, std::string* error) {
-  const std::vector<std::string_view> lines = split_lines(payload);
-  if (lines.empty() || lines[0] != kRequestMagic) {
-    return fail(error, "bad request magic line");
-  }
-  PlanRequest req;
-  bool saw_model = false, saw_batch = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    std::string_view key, value;
-    if (!split_kv(lines[i], &key, &value)) {
-      return fail(error, "malformed request line " + std::to_string(i + 1));
+  try {
+    LineCursor in(payload);
+    in.expect(kRequestMagic);
+    PlanRequest req;
+    bool saw_model = false, saw_batch = false;
+    while (!in.done()) {
+      Fields f = in.line();
+      const std::string_view key = f.word("request key");
+      if (key == "model") {
+        req.model = f.word("model name");
+        saw_model = true;
+      } else if (key == "layers") {
+        req.layers = f.integer("layers", -1, 4096);
+      } else if (key == "batch") {
+        req.batch = f.real("batch");
+        if (!(req.batch > 0.0) || !(req.batch < 1e9)) {
+          return fail(error, "bad batch (need 0 < batch < 1e9)");
+        }
+        saw_batch = true;
+      } else if (key == "cluster") {
+        req.cluster = f.word("cluster name");
+      } else if (key == "episodes") {
+        req.episodes = f.integer("episodes", 0, 1'000'000);
+      } else if (key == "deadline_ms") {
+        req.deadline_ms = f.real("deadline_ms");
+        if (std::isnan(req.deadline_ms) || req.deadline_ms > 1e15) {
+          return fail(error, "bad deadline_ms");
+        }
+      } else if (key == "seed") {
+        req.seed = f.integer<uint64_t>("seed");
+      } else {
+        return fail(error, "unknown request key \"" + std::string(key) + "\"");
+      }
+      f.finish();
     }
-    if (key == "model") {
-      if (value.empty() || value.find(' ') != std::string_view::npos) {
-        return fail(error, "bad model name");
-      }
-      req.model.assign(value.data(), value.size());
-      saw_model = true;
-    } else if (key == "layers") {
-      long long v = 0;
-      if (!parse_int(value, -1, 4096, &v)) return fail(error, "bad layers");
-      req.layers = static_cast<int>(v);
-    } else if (key == "batch") {
-      if (!parse_double(value, &req.batch) || !(req.batch > 0.0) ||
-          !(req.batch < 1e9)) {
-        return fail(error, "bad batch (need 0 < batch < 1e9)");
-      }
-      saw_batch = true;
-    } else if (key == "cluster") {
-      if (value.empty() || value.find(' ') != std::string_view::npos) {
-        return fail(error, "bad cluster name");
-      }
-      req.cluster.assign(value.data(), value.size());
-    } else if (key == "episodes") {
-      long long v = 0;
-      if (!parse_int(value, 0, 1'000'000, &v)) return fail(error, "bad episodes");
-      req.episodes = static_cast<int>(v);
-    } else if (key == "deadline_ms") {
-      if (!parse_double(value, &req.deadline_ms) || req.deadline_ms != req.deadline_ms ||
-          req.deadline_ms > 1e15) {
-        return fail(error, "bad deadline_ms");
-      }
-    } else if (key == "seed") {
-      if (!parse_u64(value, &req.seed)) return fail(error, "bad seed");
-    } else {
-      return fail(error, "unknown request key \"" + std::string(key) + "\"");
-    }
+    if (!saw_model) return fail(error, "request missing model");
+    if (!saw_batch) return fail(error, "request missing batch");
+    *out = std::move(req);
+    return true;
+  } catch (const ParseError& e) {
+    return fail(error, e.what());
   }
-  if (!saw_model) return fail(error, "request missing model");
-  if (!saw_batch) return fail(error, "request missing batch");
-  *out = std::move(req);
-  return true;
 }
 
 std::string encode_reply(const PlanReply& reply) {
@@ -196,13 +115,8 @@ std::string encode_reply(const PlanReply& reply) {
       out += "status ok\n";
       out += "degraded " + std::string(reply.degraded ? "1" : "0") + '\n';
       out += "feasible " + std::string(reply.feasible ? "1" : "0") + '\n';
-      out += "per_iteration_ms " + fmt_double(reply.per_iteration_ms) + '\n';
-      size_t plan_lines = 0;
-      for (const char c : reply.plan_text) plan_lines += c == '\n' ? 1 : 0;
-      if (!reply.plan_text.empty() && reply.plan_text.back() != '\n') ++plan_lines;
-      out += "plan_lines " + std::to_string(plan_lines) + '\n';
-      out += reply.plan_text;
-      if (!reply.plan_text.empty() && reply.plan_text.back() != '\n') out += '\n';
+      out += "per_iteration_ms " + format_double(reply.per_iteration_ms) + '\n';
+      append_block(out, "plan_lines", reply.plan_text);
       break;
     }
     case PlanReply::Status::kRejected:
@@ -220,75 +134,52 @@ std::string encode_reply(const PlanReply& reply) {
 }
 
 bool decode_reply(std::string_view payload, PlanReply* out, std::string* error) {
-  const std::vector<std::string_view> lines = split_lines(payload);
-  if (lines.empty() || lines[0] != kReplyMagic) {
-    return fail(error, "bad reply magic line");
-  }
-  if (lines.size() < 2) return fail(error, "reply missing status");
-  PlanReply reply;
-  std::string_view key, value;
-  if (!split_kv(lines[1], &key, &value) || key != "status") {
-    return fail(error, "reply missing status");
-  }
-  if (value == "rejected") {
-    reply.status = PlanReply::Status::kRejected;
-    if (lines.size() < 3 || !split_kv(lines[2], &key, &value) || key != "reason" ||
-        !parse_reject_reason(value, &reply.reject_reason)) {
-      return fail(error, "rejected reply missing a known reason");
-    }
-    *out = std::move(reply);
-    return true;
-  }
-  if (value == "error") {
-    reply.status = PlanReply::Status::kError;
-    if (lines.size() < 3 || !split_kv(lines[2], &key, &value) || key != "message") {
-      return fail(error, "error reply missing message");
-    }
-    reply.error.assign(value.data(), value.size());
-    *out = std::move(reply);
-    return true;
-  }
-  if (value != "ok") return fail(error, "unknown reply status");
-
-  reply.status = PlanReply::Status::kOk;
-  long long plan_lines = -1;
-  size_t i = 2;
-  for (; i < lines.size(); ++i) {
-    if (!split_kv(lines[i], &key, &value)) {
-      return fail(error, "malformed reply line " + std::to_string(i + 1));
-    }
-    if (key == "degraded") {
-      if (value != "0" && value != "1") return fail(error, "bad degraded flag");
-      reply.degraded = value == "1";
-    } else if (key == "feasible") {
-      if (value != "0" && value != "1") return fail(error, "bad feasible flag");
-      reply.feasible = value == "1";
-    } else if (key == "per_iteration_ms") {
-      if (!parse_double(value, &reply.per_iteration_ms)) {
-        return fail(error, "bad per_iteration_ms");
+  try {
+    LineCursor in(payload);
+    in.expect(kReplyMagic);
+    PlanReply reply;
+    Fields status_line = in.field("status");
+    const std::string_view status = status_line.word("reply status");
+    status_line.finish();
+    if (status == "rejected") {
+      reply.status = PlanReply::Status::kRejected;
+      Fields f = in.field("reason");
+      const std::string_view reason = f.word("reject reason");
+      f.finish();
+      if (!parse_reject_reason(reason, &reply.reject_reason)) {
+        return fail(error, "rejected reply missing a known reason");
       }
-    } else if (key == "plan_lines") {
-      // Count bounded well below the payload cap: each plan line is >= 2
-      // bytes on the wire, so a count beyond payload size is a lie.
-      if (!parse_int(value, 0, static_cast<long long>(kMaxReplyPayload), &plan_lines)) {
-        return fail(error, "bad plan_lines count");
+    } else if (status == "error") {
+      reply.status = PlanReply::Status::kError;
+      reply.error = in.rest("message");
+    } else if (status == "ok") {
+      reply.status = PlanReply::Status::kOk;
+      while (!in.at("plan_lines")) {
+        Fields f = in.line();
+        const std::string_view key = f.word("reply key");
+        if (key == "degraded") {
+          reply.degraded = f.flag("degraded flag");
+        } else if (key == "feasible") {
+          reply.feasible = f.flag("feasible flag");
+        } else if (key == "per_iteration_ms") {
+          reply.per_iteration_ms = f.real("per_iteration_ms");
+        } else {
+          return fail(error, "unknown reply key \"" + std::string(key) + "\"");
+        }
+        f.finish();
       }
-      ++i;
-      break;
+      // Each plan line is at least two bytes on the wire, so a count beyond
+      // the payload cap is a lie.
+      reply.plan_text = in.block("plan_lines", kMaxReplyPayload);
     } else {
-      return fail(error, "unknown reply key \"" + std::string(key) + "\"");
+      return fail(error, "unknown reply status");
     }
+    in.finish();
+    *out = std::move(reply);
+    return true;
+  } catch (const ParseError& e) {
+    return fail(error, e.what());
   }
-  if (plan_lines < 0) return fail(error, "ok reply missing plan_lines");
-  if (static_cast<long long>(lines.size()) - static_cast<long long>(i) != plan_lines) {
-    return fail(error, "plan_lines count does not match embedded plan");
-  }
-  for (size_t j = i; j < lines.size(); ++j) {
-    reply.plan_text.append(lines[j].data(), lines[j].size());
-    reply.plan_text += '\n';
-  }
-  *out = std::move(reply);
-  return true;
 }
 
 namespace {

@@ -12,8 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <vector>
 
 #include "common/atomic_file.h"
@@ -25,13 +24,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::string_view kHeaderMagic = "heterog-store v";
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);  // round-trips doubles exactly
-  return buf;
-}
+constexpr std::string_view kHeaderMagic = "heterog-store";
 
 std::string hex16(uint64_t v) {
   char buf[24];
@@ -39,23 +32,10 @@ std::string hex16(uint64_t v) {
   return buf;
 }
 
-bool parse_hex16(std::string_view text, uint64_t* out) {
-  if (text.size() != 16) return false;
-  uint64_t v = 0;
-  for (const char c : text) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') v |= static_cast<uint64_t>(c - 'a' + 10);
-    else return false;
-  }
-  *out = v;
-  return true;
-}
-
 /// Vector lengths inside a record are bounded so a corrupt count that
 /// happens to pass the CRC of a truncated frame can never drive a gigantic
-/// reserve() (mirrors ckpt::parse_count).
-constexpr long long kMaxVectorLen = 1'000'000;
+/// reserve().
+constexpr size_t kMaxVectorLen = 1'000'000;
 
 [[noreturn]] void env_fail(const std::string& what, int err) {
   throw StoreError(StoreError::Kind::kEnvironment,
@@ -87,23 +67,26 @@ bool append_durable(const std::string& path, std::string_view data) {
 }
 
 bool parse_header(std::string_view payload, int* version, int* generation) {
-  if (payload.substr(0, kHeaderMagic.size()) != kHeaderMagic) return false;
-  std::istringstream is(std::string(payload.substr(kHeaderMagic.size())));
-  std::string gen_word;
-  long long v = -1, gen = -1;
-  if (!(is >> v >> gen_word >> gen) || gen_word != "gen") return false;
-  if (v < 0 || v > 1'000'000 || gen < 0 || gen > kMaxVectorLen) return false;
-  std::string extra;
-  if (is >> extra) return false;
-  *version = static_cast<int>(v);
-  *generation = static_cast<int>(gen);
-  return true;
+  try {
+    Fields f(payload);
+    const std::string_view magic = f.word("store magic");
+    const std::string_view v = f.word("store version");
+    if (magic != kHeaderMagic || v.substr(0, 1) != "v") return false;
+    const int parsed_version = Fields(v.substr(1)).integer("store version", 0, 1'000'000);
+    if (f.word("gen tag") != "gen") return false;
+    *generation = f.integer("generation", 0, static_cast<int>(kMaxVectorLen));
+    f.finish();
+    *version = parsed_version;
+    return true;
+  } catch (const ParseError&) {
+    return false;
+  }
 }
 
 }  // namespace
 
 std::string PlanStore::header_payload(int generation) const {
-  return std::string(kHeaderMagic) + std::to_string(kFormatVersion) + " gen " +
+  return std::string(kHeaderMagic) + " v" + std::to_string(kFormatVersion) + " gen " +
          std::to_string(generation);
 }
 
@@ -111,13 +94,13 @@ std::string PlanStore::encode_eval(uint64_t key, const sim::PlanEvaluation& eval
   std::string out = "eval ";
   out += hex16(key);
   out += ' ';
-  out += fmt(eval.per_iteration_ms);
+  out += format_double(eval.per_iteration_ms);
   out += ' ';
-  out += fmt(eval.cold_iteration_ms);
+  out += format_double(eval.cold_iteration_ms);
   out += ' ';
-  out += fmt(eval.computation_ms);
+  out += format_double(eval.computation_ms);
   out += ' ';
-  out += fmt(eval.communication_ms);
+  out += format_double(eval.communication_ms);
   out += ' ';
   out += eval.oom ? '1' : '0';
   out += " peaks " + std::to_string(eval.peak_memory_bytes.size());
@@ -129,38 +112,31 @@ std::string PlanStore::encode_eval(uint64_t key, const sim::PlanEvaluation& eval
 
 bool PlanStore::decode_eval(std::string_view payload, uint64_t* key,
                             sim::PlanEvaluation* eval) {
-  std::istringstream is{std::string(payload)};
-  std::string word;
-  if (!(is >> word) || word != "eval") return false;
-  if (!(is >> word) || !parse_hex16(word, key)) return false;
-  sim::PlanEvaluation e;
-  int oom = -1;
-  if (!(is >> e.per_iteration_ms >> e.cold_iteration_ms >> e.computation_ms >>
-        e.communication_ms >> oom)) {
+  try {
+    Fields f(payload);
+    if (f.word("record tag") != "eval") return false;
+    const uint64_t parsed_key = f.hex<uint64_t>("key");
+    sim::PlanEvaluation e;
+    e.per_iteration_ms = f.real("per-iteration time");
+    e.cold_iteration_ms = f.real("cold iteration time");
+    e.computation_ms = f.real("computation time");
+    e.communication_ms = f.real("communication time");
+    e.oom = f.flag("oom");
+    if (f.word("peaks tag") != "peaks") return false;
+    e.peak_memory_bytes.resize(f.integer<size_t>("peak count", 0, kMaxVectorLen));
+    for (int64_t& bytes : e.peak_memory_bytes) bytes = f.integer<int64_t>("peak bytes");
+    if (f.word("oomdevs tag") != "oomdevs") return false;
+    e.oom_devices.resize(f.integer<size_t>("oom device count", 0, kMaxVectorLen));
+    for (cluster::DeviceId& d : e.oom_devices) {
+      d = f.integer<cluster::DeviceId>("oom device");
+    }
+    f.finish();
+    *key = parsed_key;
+    *eval = std::move(e);
+    return true;
+  } catch (const ParseError&) {
     return false;
   }
-  if (oom != 0 && oom != 1) return false;
-  e.oom = oom == 1;
-  long long n = -1;
-  if (!(is >> word >> n) || word != "peaks" || n < 0 || n > kMaxVectorLen) return false;
-  e.peak_memory_bytes.reserve(static_cast<size_t>(n));
-  for (long long i = 0; i < n; ++i) {
-    int64_t b = 0;
-    if (!(is >> b)) return false;
-    e.peak_memory_bytes.push_back(b);
-  }
-  if (!(is >> word >> n) || word != "oomdevs" || n < 0 || n > kMaxVectorLen) {
-    return false;
-  }
-  e.oom_devices.reserve(static_cast<size_t>(n));
-  for (long long i = 0; i < n; ++i) {
-    cluster::DeviceId d = -1;
-    if (!(is >> d)) return false;
-    e.oom_devices.push_back(d);
-  }
-  if (is >> word) return false;  // trailing garbage
-  *eval = std::move(e);
-  return true;
 }
 
 PlanStore::PlanStore(PlanStoreOptions options) : options_(std::move(options)) {
@@ -291,8 +267,8 @@ void PlanStore::open_scan() {
   stats_.generation = 1;
   std::string data;
   {
-    std::ifstream in(journal_path(), std::ios::binary);
-    if (!in) {
+    std::optional<std::string> text = read_file(journal_path());
+    if (!text) {
       // Fresh store: publish an empty generation-1 journal so every later
       // append lands behind a valid header.
       if (!options_.read_only) {
@@ -305,9 +281,7 @@ void PlanStore::open_scan() {
       }
       return;
     }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    data = buffer.str();
+    data = std::move(*text);
   }
 
   RecordScanner scanner(data);

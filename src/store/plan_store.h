@@ -29,11 +29,11 @@
 //     entirely.
 //
 // Correctness contract: a store lookup only ever returns bytes that round-
-// trip the exact doubles written (%.17g), keyed by the caller's 64-bit hash
-// — search results with the store hot, cold or corrupted are bit-identical
-// to a store-less run (rl::EvalEngine wires the key with a store context
-// hash covering cluster fingerprint + profiler seed, so entries can never
-// leak across clusters or cost models).
+// trip the exact doubles written (format_double), keyed by the caller's
+// 64-bit hash — search results with the store hot, cold or corrupted are
+// bit-identical to a store-less run (rl::EvalEngine wires the key with a
+// store context hash covering cluster fingerprint + profiler seed, so
+// entries can never leak across clusters or cost models).
 #pragma once
 
 #include <cstdint>

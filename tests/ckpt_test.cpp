@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +23,8 @@
 #include <vector>
 
 #include "ckpt/journal.h"
+#include "cluster/topology.h"
+#include "common/record_io.h"
 #include "common/shutdown.h"
 #include "core/heterog.h"
 #include "faults/faults.h"
@@ -191,6 +194,47 @@ TEST(Journal, TruncationAndExtensionAreDetected) {
   EXPECT_THROW(ckpt::parse_journal(std::string()), ckpt::JournalError);
 }
 
+/// `text` with `from` replaced by `to` and its CRC trailer recomputed, so
+/// only the field syntax can reject it.
+std::string rewrite_journal(const std::string& text, const std::string& from,
+                            const std::string& to) {
+  std::string body = strip_crc_trailer(text).body;
+  const size_t pos = body.find(from);
+  EXPECT_NE(pos, std::string::npos) << "no \"" << from << "\" in the journal";
+  if (pos != std::string::npos) body.replace(pos, from.size(), to);
+  return with_crc_trailer(body);
+}
+
+TEST(Journal, RejectsSignedNumbersLooseFlagsAndTrailingTokens) {
+  // Malformed: a leading '+', "-1" in the unsigned seed, a flag other than
+  // 0 or 1, and a token after the fields a line holds.
+  ckpt::RunJournal j = small_journal();
+  j.cluster = cluster::generate_cluster(*cluster::topo_preset("pod64"))
+                  .degrade_link(0, 9, 0.5)
+                  .degrade_switch(1, 0, 0.5);
+  j.cluster_crc = cluster::cluster_fingerprint(j.cluster);
+  const std::string text = ckpt::to_text(j);
+  ASSERT_NO_THROW(ckpt::parse_journal(rewrite_journal(text, "rng-seed 7", "rng-seed 7")));
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"rng-seed 7\n", "rng-seed -1\n"},
+      {"ckpt-every 3\n", "ckpt-every +3\n"},
+      {"switch 25\n", "switch +25\n"},
+      {"grouping 5\n", "grouping +5\n"},
+      {"fault-handling 5 50 2000 0 0\n", "fault-handling 5 50 2000 0 2\n"},
+      {"fault-handling 5 50 2000 0 0\n", "fault-handling 5 50 2000 0 0 junk\n"},
+      {"link 0 2 0.5\n", "link 0 2 0.5 junk\n"},
+      {"rack 0 0\n", "rack 0 0 junk\n"},
+      {"tier 50 2\n", "tier 50 2 junk\n"},
+      {"recovery 2 1 2 0 1 ", "recovery 2 1 2 2 1 "},
+      {" 2 1 3 0 0\n", " 2 1 3 0 5\n"},
+      {" 2 1 3 0 0\n", " 2 1 3 0 0 junk\n"},
+  };
+  for (const auto& [from, to] : cases) {
+    EXPECT_THROW(ckpt::parse_journal(rewrite_journal(text, from, to)), ckpt::JournalError)
+        << to;
+  }
+}
+
 TEST(Journal, SaveIsAtomicAndOverwrites) {
   TempDir dir("save");
   const std::string path = (dir.path() / "journal.heterog").string();
@@ -271,6 +315,33 @@ TEST(PlanV1, StillLoadsAndRejectsTrailingGarbage) {
   EXPECT_NO_THROW(strategy::parse_plan(v1, runner.cluster()));
   EXPECT_FALSE(strategy::from_text(v1 + "trailing junk\n",
                                    runner.cluster().device_count()));
+}
+
+TEST(PlanV1, RejectsLayoutsOtherThanOneFieldPerLine) {
+  // A plan holds one field per line (CR and tabs count as whitespace), and
+  // a number takes no sign.
+  const std::string good = "heterog-plan v1\ndevices 4\ngroups 2\n0\n1\n";
+  ASSERT_TRUE(strategy::from_text(good, 4).has_value());
+  EXPECT_TRUE(strategy::from_text("heterog-plan v1\r\ndevices\t4\r\ngroups 2\n0\n1\n", 4)
+                  .has_value());
+  for (const std::string bad : {
+           "heterog-plan v1 devices 4 groups 2 0 1\n",
+           "heterog-plan v1\n\ndevices 4\ngroups 2\n0\n1\n",
+           "heterog-plan v1\ndevices 4\ngroups 2\n0 1\n",
+           "heterog-plan v1\ndevices 4\ngroups 2\n+0\n1\n",
+           "heterog-plan v1\ndevices +4\ngroups 2\n0\n1\n",
+       }) {
+    EXPECT_FALSE(strategy::from_text(bad, 4).has_value()) << bad;
+  }
+  // A v2 fingerprint must be lowercase hex even when no cluster checks it.
+  const auto& runner = toy_runner();
+  const std::string v2 = strategy::to_text(runner.strategy(), runner.cluster());
+  std::string body = strip_crc_trailer(v2).body;
+  const size_t fp = body.find("cluster ") + 8;
+  for (size_t i = fp; i < fp + 8; ++i) body[i] = static_cast<char>(std::toupper(body[i]));
+  ASSERT_NE(with_crc_trailer(body), v2);
+  EXPECT_FALSE(
+      strategy::from_text(with_crc_trailer(body), runner.cluster().device_count()));
 }
 
 // Kill + resume determinism --------------------------------------------------
@@ -520,6 +591,31 @@ TEST(Resume, TornJournalNeverLoadsUnderKillLoop) {
 }
 
 // Resume validation ----------------------------------------------------------
+
+TEST(Resume, DegradedSwitchSurvivesTheJournal) {
+  // The journal keeps switch degradations: the embedded cluster fingerprints
+  // as it did when the journal was written, so the run resumes and its tail
+  // equals the uninterrupted run's bit for bit.
+  const auto cluster = cluster::generate_cluster(*cluster::topo_preset("rack16"))
+                           .degrade_switch(0, 0, 0.5);
+  const auto model = [] {
+    return models::build_forward(models::ModelKind::kMobileNetV2, 0, 64);
+  };
+  const DistRunner runner = get_runner(model, cluster, fast_config());
+  const int steps = 6;
+  TempDir ref_dir("ref_switch");
+  const RunStats full = runner.run(steps, opts(ref_dir.str(), 2));
+  ASSERT_EQ(full.step_ms.size(), static_cast<size_t>(steps));
+
+  TempDir crash_dir("crash_switch");
+  EXPECT_THROW(runner.run(steps, opts(crash_dir.str(), 2, /*crash_after=*/2)),
+               SimulatedCrash);
+  const std::string path = (crash_dir.path() / "journal.heterog").string();
+  EXPECT_EQ(ckpt::load_journal(path).cluster.switch_scales(), cluster.switch_scales());
+  const RunStats tail = resume_run(path, model);
+  EXPECT_EQ(tail.step_ms, tail_of(full.step_ms, 2));
+  EXPECT_TRUE(tail.completed);
+}
 
 TEST(Resume, FingerprintMismatchRefused) {
   const auto& runner = toy_runner();

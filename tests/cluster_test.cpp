@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/record_io.h"
 
 #include "cluster/cluster.h"
 #include "cluster/topology.h"
@@ -287,6 +288,40 @@ TEST(Cluster, RemoveDevicePreservesSwitchDegradation) {
   const DeviceId r1b = rack_device(survivors, 1, 4);
   EXPECT_DOUBLE_EQ(survivors.link_bandwidth_bytes_per_ms(r1a, r1b),
                    gbps_to_bytes_per_ms(25.0));
+}
+
+TEST(Cluster, ScaledNetworkKeepsSwitchDegradations) {
+  const ClusterSpec c =
+      generate_cluster(*topo_preset("rack16")).degrade_switch(0, 1, 0.25);
+  const ClusterSpec scaled = scale_network_bandwidth(c, 0.5);
+  EXPECT_EQ(scaled.switch_scales(), c.switch_scales());
+  // The path through the degraded ToR is scaled by both factors.
+  const DeviceId r1a = rack_device(c, 1, 0);
+  const DeviceId r1b = rack_device(c, 1, 4);
+  EXPECT_DOUBLE_EQ(scaled.link_bandwidth_bytes_per_ms(r1a, r1b),
+                   0.5 * c.link_bandwidth_bytes_per_ms(r1a, r1b));
+}
+
+TEST(Cluster, BlockRoundTripsEveryFingerprintedPart) {
+  // cluster_block lists what cluster_fingerprint hashes: reading it back
+  // gives the same fingerprint and the same block, degradations included.
+  const ClusterSpec topo = generate_cluster(*topo_preset("pod64"))
+                               .degrade_switch(0, 1, 0.25)
+                               .degrade_switch(1, 0, 0.5)
+                               .degrade_link(0, 5, 0.5);
+  for (const ClusterSpec& c : {make_paper_testbed_8gpu(), topo}) {
+    const std::string text = cluster_block(c);
+    LineCursor in(text);
+    const ClusterSpec back = parse_cluster_block(in);
+    EXPECT_TRUE(in.done());
+    EXPECT_EQ(cluster_block(back), text);
+    EXPECT_EQ(cluster_fingerprint(back), cluster_fingerprint(c));
+    EXPECT_EQ(back.switch_scales(), c.switch_scales());
+  }
+  // Clusters without degraded switches write no switch-scale line.
+  EXPECT_EQ(cluster_block(generate_cluster(*topo_preset("pod64"))).find("switch-scale"),
+            std::string::npos);
+  EXPECT_NE(cluster_block(topo).find("\nswitch-scale 0 1 0.25\n"), std::string::npos);
 }
 
 }  // namespace

@@ -592,6 +592,29 @@ TEST(OomCheck, ShortPeakVectorIsTreatedAsZeroUsage) {
 
 // DistRunner fault-aware execution ------------------------------------------
 
+TEST(FaultSim, NearlyEqualSlowdownsDoNotShareAMemoEntry) {
+  // Slowdowns of 2.0 and 2.000004 on every device are distinct fault sets:
+  // the second must measure its own simulation, not the first's memo entry.
+  const auto runner = get_runner(
+      [] { return models::build_forward(models::ModelKind::kMobileNetV2, 0, 64); },
+      cluster::make_paper_testbed_8gpu(), fast_config());
+  const auto slowed = [&](double factor) {
+    faults::FaultScaling scaling;
+    scaling.compute_slowdown.assign(static_cast<size_t>(runner.cluster().device_count()),
+                                    factor);
+    return scaling;
+  };
+  EXPECT_NE(slowed(2.0).signature(), slowed(2.000004).signature());
+  sim::FaultInjector shared(runner.dist_graph(), runner.cluster(), FaultPlan{},
+                            runner.deployment().order);
+  const double first = shared.measure(slowed(2.0)).makespan_ms;
+  const double second = shared.measure(slowed(2.000004)).makespan_ms;
+  sim::FaultInjector fresh(runner.dist_graph(), runner.cluster(), FaultPlan{},
+                           runner.deployment().order);
+  EXPECT_EQ(second, fresh.measure(slowed(2.000004)).makespan_ms);
+  EXPECT_NE(second, first);
+}
+
 TEST(RunnerFaults, EmptyPlanMatchesPlainRun) {
   const auto runner = get_runner(
       [] { return models::build_forward(models::ModelKind::kMobileNetV2, 0, 96); },

@@ -337,8 +337,8 @@ TEST(HealthMonitor, DeserializeRejectsMalformedState) {
   EXPECT_THROW(HealthMonitor::deserialize("not-a-header\n"), health::HealthError);
   const std::string good = HealthMonitor(2, monitor_policy()).serialize();
   // Truncate mid-way: every strict prefix must be rejected, never crash.
-  // (good.size() - 1 would only drop the trailing newline, which getline
-  // forgives — everything shorter must throw.)
+  // (good.size() - 1 would only drop the trailing newline, and a final line
+  // without one still counts — everything shorter must throw.)
   for (size_t cut = 1; cut + 1 < good.size(); cut += 7) {
     EXPECT_THROW(HealthMonitor::deserialize(good.substr(0, cut)),
                  health::HealthError)
@@ -350,6 +350,30 @@ TEST(HealthMonitor, DeserializeRejectsMalformedState) {
   ASSERT_NE(pos, std::string::npos);
   bad.replace(pos, 8, "device 9");
   EXPECT_THROW(HealthMonitor::deserialize(bad), health::HealthError);
+
+  // Malformed: a leading '+', a flag other than 0 or 1, a trailing token,
+  // a blank line, and anything after the domain section.
+  HealthMonitor racked(2, monitor_policy());
+  racked.set_rack_map({0, 1});
+  const std::string domain = racked.serialize();
+  const auto replaced = [](std::string text, const std::string& from,
+                           const std::string& to) {
+    const size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? text : text.replace(at, from.size(), to);
+  };
+  for (const std::string& accepted_before : {
+           replaced(good, "devices 2\n", "devices +2\n"),
+           replaced(good, "policy 1 ", "policy 2 "),
+           replaced(good, "\nrun 0 0 0 ", "\nrun 0 0 3 "),
+           replaced(good, "pending 0\n", "pending 0 junk\n"),
+           good + "\njunk\n",
+           replaced(domain, "domain 1 ", "domain 7 "),
+           domain + "junk\n",
+       }) {
+    EXPECT_THROW(HealthMonitor::deserialize(accepted_before), health::HealthError)
+        << accepted_before;
+  }
 }
 
 TEST(HealthMonitor, OnReplanRemapsSurvivorsAndResetsBaselines) {

@@ -12,9 +12,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -200,6 +202,27 @@ TEST(EventLog, JsonlRoundTripPreservesEveryScalarKind) {
   EXPECT_EQ(events[1].str("path"), "dir/with \"quotes\" and \\slashes\\\n");
   EXPECT_EQ(events[1].number("ok"), 0.0);
   EXPECT_EQ(events[1].number("missing", -3.0), -3.0);
+  fs::remove(path);
+}
+
+TEST(EventLog, NonFiniteDoublesRoundTrip) {
+  // NaN has no shortest round-trip form; it is written "nan", as infinity
+  // is written "inf", so the line stays readable.
+  const std::string path = temp_path("obs_nonfinite.jsonl");
+  {
+    EventLog log(path);
+    ASSERT_TRUE(log.ok());
+    log.emit(Event("schedule")
+                 .with("makespan_ms", std::numeric_limits<double>::quiet_NaN())
+                 .with("comm_ms", std::numeric_limits<double>::infinity())
+                 .with("compute_ms", -std::numeric_limits<double>::infinity()));
+  }
+  const std::vector<ParsedEvent> events = read_events(path);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].str("makespan_ms"), "nan");
+  EXPECT_TRUE(std::isnan(events[0].number("makespan_ms")));
+  EXPECT_EQ(events[0].number("comm_ms"), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(events[0].number("compute_ms"), -std::numeric_limits<double>::infinity());
   fs::remove(path);
 }
 

@@ -1,13 +1,17 @@
 // Property/fuzz tests for every text parser that accepts untrusted bytes:
 // strategy::from_text / parse_plan, faults::parse_fault_plan_json /
-// load_fault_plan and ckpt::parse_journal. A deterministic Rng drives
-// truncations, bit flips, garbage extensions, splices and fully random
-// buffers; the property under test is uniform — a parser may reject input
-// only through its typed error (or nullopt), and must never crash, hang or
-// trip a sanitizer. The `fuzz` ctest label runs this binary under
-// -DHETEROG_SANITIZE=address,undefined in CI.
+// load_fault_plan, ckpt::parse_journal, health::HealthMonitor::deserialize,
+// the plan store's record codec and the RPC codecs. A deterministic Rng
+// drives truncations, bit flips, garbage extensions, splices and fully
+// random buffers; the property under test is uniform — a parser may reject
+// input only through its typed error (or nullopt), and must never crash,
+// hang or trip a sanitizer. Alongside: documents written by the writers at
+// dd1a1fc (tests/fixtures) must re-serialize byte for byte, and extreme
+// values must round-trip through every writer. The `fuzz` ctest label runs
+// this binary under -DHETEROG_SANITIZE=address,undefined in CI.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -24,6 +28,7 @@
 #include "common/rng.h"
 #include "compile/dist_graph.h"
 #include "faults/faults.h"
+#include "health/health.h"
 #include "server/protocol.h"
 #include "sim/plan_eval.h"
 #include "store/plan_store.h"
@@ -580,6 +585,262 @@ TEST(Fuzz, ValidSeedsStillParse) {
   EXPECT_EQ(store.stats().records_quarantined, 0u);
   std::error_code ec;
   fs::remove_all(dir, ec);
+}
+
+TEST(Fuzz, HealthStateDeserializeNeverCrashes) {
+  Rng rng(0xF00B);
+  health::HealthMonitor monitor(3, health::HealthPolicy{});
+  monitor.set_rack_map({0, 0, 1});
+  monitor.force_failure(2, 4, "failure");
+  const std::string seed = monitor.serialize();
+  for (int i = 0; i < kRounds; ++i) {
+    expect_typed<health::HealthError>(
+        [](const std::string& text) { (void)health::HealthMonitor::deserialize(text); },
+        mutate(rng, seed), "HealthMonitor::deserialize");
+  }
+}
+
+// Documents written by the writers at dd1a1fc ---------------------------------
+
+std::string fixture(const std::string& name) {
+  const auto text =
+      read_file(std::string(HETEROG_SOURCE_DIR) + "/tests/fixtures/" + name);
+  EXPECT_TRUE(text.has_value()) << "missing fixture " << name;
+  return text.value_or("");
+}
+
+TEST(CodecFixtures, JournalRewritesByteForByte) {
+  // rack16 MobileNet-v2 b64, chaos seed 6 with --health: a topology, two
+  // recoveries, a fault plan and a health state with its domain section.
+  const std::string text = fixture("journal_rack16_health.heterog");
+  const ckpt::RunJournal j = ckpt::parse_journal(text);
+  EXPECT_EQ(ckpt::to_text(j), text);
+  EXPECT_EQ(cluster::cluster_fingerprint(j.cluster), j.cluster_crc);
+  EXPECT_TRUE(j.cluster.has_topology());
+  EXPECT_EQ(j.recoveries.size(), 2u);
+
+  EXPECT_NE(j.health_state.find("\ndomain "), std::string::npos);
+  EXPECT_EQ(health::HealthMonitor::deserialize(j.health_state).serialize(),
+            j.health_state);
+  EXPECT_EQ(strategy::to_text(strategy::parse_plan(j.plan_text, j.cluster), j.cluster),
+            j.plan_text);
+  EXPECT_EQ(faults::fault_plan_to_json(faults::parse_fault_plan_json(j.fault_plan_json)) +
+                "\n",
+            j.fault_plan_json);
+}
+
+TEST(CodecFixtures, StoreJournalRewritesByteForByte) {
+  // fig3 MobileNet-v2 b512 heuristic plan: OOM and fitting evaluations.
+  const std::string text = fixture("evals.journal");
+  RecordScanner scanner(text);
+  ScannedRecord rec = scanner.next();
+  ASSERT_EQ(rec.status, ScannedRecord::Status::kOk);
+  EXPECT_EQ(rec.payload, "heterog-store v1 gen 1");
+  std::string rewritten = frame_record(rec.payload);
+  size_t evals = 0, oom = 0;
+  for (rec = scanner.next(); rec.status != ScannedRecord::Status::kEnd;
+       rec = scanner.next()) {
+    ASSERT_EQ(rec.status, ScannedRecord::Status::kOk) << rec.reason;
+    uint64_t key = 0;
+    sim::PlanEvaluation eval;
+    ASSERT_TRUE(store::PlanStore::decode_eval(rec.payload, &key, &eval)) << rec.payload;
+    rewritten += frame_record(store::PlanStore::encode_eval(key, eval));
+    ++evals;
+    oom += eval.oom && !eval.oom_devices.empty() ? 1 : 0;
+  }
+  EXPECT_EQ(rewritten, text);
+  EXPECT_EQ(evals, 14u);
+  EXPECT_GT(oom, 0u);
+
+  const fs::path dir = fs::temp_directory_path() /
+                       ("heterog_fixture_store_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::ofstream((dir / "evals.journal").string(), std::ios::binary) << text;
+  {
+    store::PlanStoreOptions options;
+    options.dir = dir.string();
+    options.read_only = true;
+    store::PlanStore store(options);
+    EXPECT_EQ(store.stats().records_loaded, evals);
+    EXPECT_EQ(store.stats().records_quarantined, 0u);
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(CodecFixtures, RpcDocumentsRewriteByteForByte) {
+  std::string error;
+  const std::string request_text = fixture("request.rpc");
+  server::PlanRequest request;
+  ASSERT_TRUE(server::decode_request(request_text, &request, &error)) << error;
+  EXPECT_EQ(server::encode_request(request), request_text);
+  EXPECT_EQ(request.seed, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(request.deadline_ms, 0.1 + 0.2);
+
+  for (const char* name : {"reply_ok.rpc", "reply_rejected.rpc", "reply_error.rpc"}) {
+    SCOPED_TRACE(name);
+    const std::string text = fixture(name);
+    server::PlanReply reply;
+    ASSERT_TRUE(server::decode_reply(text, &reply, &error)) << error;
+    EXPECT_EQ(server::encode_reply(reply), text);
+  }
+}
+
+TEST(CodecFixtures, PlansRewriteByteForByte) {
+  // 8-GPU testbed MobileNet-v2 b64 heuristic plan.
+  const auto cluster = *cluster::cluster_from_name("8gpu");
+  const std::string v1 = fixture("plan_v1.plan");
+  const auto map = strategy::from_text(v1, cluster.device_count());
+  ASSERT_TRUE(map.has_value());
+  EXPECT_EQ(strategy::to_text(*map, cluster.device_count()), v1);
+  const std::string v2 = fixture("plan_v2.plan");
+  EXPECT_EQ(strategy::to_text(strategy::parse_plan(v2, cluster), cluster), v2);
+  EXPECT_EQ(strategy::parse_plan(v2, cluster).group_actions, map->group_actions);
+}
+
+// Extreme values through every writer -------------------------------------------
+
+const std::vector<double>& extreme_doubles() {
+  using L = std::numeric_limits<double>;
+  static const std::vector<double> values = {
+      -0.0,          0.0,           L::denorm_min(), -L::denorm_min(),
+      L::min() / 3,  L::min(),      L::max(),        L::lowest(),
+      L::infinity(), -L::infinity(), L::quiet_NaN(), -L::quiet_NaN(),
+      0.1 + 0.2,     1.0 / 3.0,     2.000004,        -123456.789e-300};
+  return values;
+}
+
+uint64_t bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(CodecRoundTrip, NumbersReadBackBitForBit) {
+  for (const double v : extreme_doubles()) {
+    SCOPED_TRACE(format_double(v));
+    EXPECT_EQ(bits(Fields(format_double(v)).real("value")), bits(v));
+    EXPECT_EQ(bits(Fields(format_shortest(v)).real("value")), bits(v));
+  }
+  for (const int64_t v : {std::numeric_limits<int64_t>::min(), int64_t{-1}, int64_t{0},
+                          std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(Fields(std::to_string(v)).integer<int64_t>("value"), v);
+  }
+  const uint64_t u64_max = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(Fields(std::to_string(u64_max)).integer<uint64_t>("value"), u64_max);
+  EXPECT_THROW(Fields("9223372036854775808").integer<int64_t>("value"), ParseError);
+  EXPECT_THROW(Fields("18446744073709551616").integer<uint64_t>("value"), ParseError);
+  for (const char* token : {"", "12x", "+5", "0x10", "1e999"}) {
+    EXPECT_THROW(Fields(token).real("value"), ParseError) << token;
+    EXPECT_THROW(Fields(token).integer<int64_t>("value"), ParseError) << token;
+  }
+  EXPECT_THROW(Fields("-1").integer<uint64_t>("value"), ParseError);
+}
+
+TEST(CodecRoundTrip, JournalKeepsExtremeValuesAndSpacedNames) {
+  ckpt::RunJournal j;
+  j.model_name = "my model  v2 ";
+  j.meta = {{"note", "two  spaces and a tail "}, {"empty", ""}};
+  std::vector<cluster::HostSpec> hosts(2);
+  hosts[0].id = 0;
+  hosts[0].name = "rack a  host 0";
+  hosts[1].id = 1;
+  hosts[1].name = " leading space";
+  std::vector<cluster::DeviceSpec> devices(2);
+  for (int d = 0; d < 2; ++d) {
+    cluster::DeviceSpec& device = devices[static_cast<size_t>(d)];
+    device.id = d;
+    device.host = d;
+    device.gflops_per_ms = std::numeric_limits<double>::denorm_min();
+    device.memory_bytes = std::numeric_limits<int64_t>::max();
+  }
+  devices[1].name = "GPU one ";
+  j.cluster = cluster::ClusterSpec(hosts, devices, std::numeric_limits<double>::max());
+  j.cluster_crc = cluster::cluster_fingerprint(j.cluster);
+  j.profiler_seed = std::numeric_limits<uint64_t>::max();
+  j.retry_backoff_total_ms = -0.0;
+  j.step_ms = extreme_doubles();
+  j.total_steps = j.watermark = static_cast<int>(j.step_ms.size());
+  ckpt::RecoveryRecord r;
+  r.failed_devices = {std::numeric_limits<int32_t>::min(),
+                      std::numeric_limits<int32_t>::max()};
+  r.replan_wall_ms = std::numeric_limits<double>::quiet_NaN();
+  r.pre_fault_iteration_ms = -std::numeric_limits<double>::infinity();
+  j.recoveries = {r};
+
+  const std::string text = ckpt::to_text(j);
+  const ckpt::RunJournal back = ckpt::parse_journal(text);
+  EXPECT_EQ(ckpt::to_text(back), text);
+  EXPECT_EQ(back.model_name, j.model_name);
+  EXPECT_EQ(back.meta, j.meta);
+  EXPECT_EQ(back.cluster.host(0).name, hosts[0].name);
+  EXPECT_EQ(back.cluster.host(1).name, hosts[1].name);
+  EXPECT_EQ(back.cluster.device(1).name, devices[1].name);
+  EXPECT_EQ(back.cluster.device(0).memory_bytes, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(cluster::cluster_fingerprint(back.cluster), j.cluster_crc);
+  EXPECT_EQ(back.profiler_seed, j.profiler_seed);
+  EXPECT_EQ(bits(back.retry_backoff_total_ms), bits(-0.0));
+  ASSERT_EQ(back.step_ms.size(), j.step_ms.size());
+  for (size_t i = 0; i < j.step_ms.size(); ++i) {
+    EXPECT_EQ(bits(back.step_ms[i]), bits(j.step_ms[i])) << "step " << i;
+  }
+  EXPECT_EQ(back.recoveries.at(0).failed_devices, r.failed_devices);
+  EXPECT_TRUE(std::isnan(back.recoveries.at(0).replan_wall_ms));
+}
+
+TEST(CodecRoundTrip, StoreRecordsAndRepliesKeepExtremeValues) {
+  for (const double v : extreme_doubles()) {
+    SCOPED_TRACE(format_double(v));
+    sim::PlanEvaluation eval;
+    eval.per_iteration_ms = v;
+    eval.cold_iteration_ms = -v;
+    eval.computation_ms = v;
+    eval.communication_ms = v;
+    eval.peak_memory_bytes = {std::numeric_limits<int64_t>::min(), 0,
+                              std::numeric_limits<int64_t>::max()};
+    eval.oom_devices = {std::numeric_limits<int32_t>::max()};
+    const std::string payload =
+        store::PlanStore::encode_eval(std::numeric_limits<uint64_t>::max(), eval);
+    uint64_t key = 0;
+    sim::PlanEvaluation back;
+    ASSERT_TRUE(store::PlanStore::decode_eval(payload, &key, &back));
+    EXPECT_EQ(store::PlanStore::encode_eval(key, back), payload);
+    EXPECT_EQ(key, std::numeric_limits<uint64_t>::max());
+    EXPECT_EQ(bits(back.per_iteration_ms), bits(v));
+    EXPECT_EQ(back.peak_memory_bytes, eval.peak_memory_bytes);
+
+    server::PlanReply reply;
+    reply.status = server::PlanReply::Status::kOk;
+    reply.per_iteration_ms = v;
+    reply.plan_text = "a plan line with  spaces\n\n";
+    server::PlanReply got;
+    std::string error;
+    ASSERT_TRUE(server::decode_reply(server::encode_reply(reply), &got, &error)) << error;
+    EXPECT_EQ(bits(got.per_iteration_ms), bits(v));
+    EXPECT_EQ(got.plan_text, reply.plan_text);
+  }
+  server::PlanReply reply;
+  reply.status = server::PlanReply::Status::kError;
+  reply.error = "planner failure:  two  spaces ";
+  server::PlanReply got;
+  std::string error;
+  ASSERT_TRUE(server::decode_reply(server::encode_reply(reply), &got, &error)) << error;
+  EXPECT_EQ(got.error, reply.error);
+}
+
+TEST(CodecRoundTrip, HealthStateKeepsExtremeValues) {
+  // Written by hand: the monitor's statistics are private, so the text
+  // carries the extreme values and must survive a read and a write.
+  std::string text =
+      "health-v1\n"
+      "policy 1 0.20000000000000001 3 1.3 3 4 3 0.10000000000000001 3 100 64 4 0 inf\n"
+      "run 2147483647 -2147483648 1 -0 nan 0\n"
+      "devices 2\n"
+      "device 1 4.9406564584124654e-324 inf 5 -inf 0 0 0 -1\n"
+      "device 3 1.7976931348623157e+308 -nan 2147483647 -0 1 2 3 7\n"
+      "pending 1 1\n"
+      "domain 1 0.59999999999999998 2\n"
+      "rackmap 2 0 -2147483648\n"
+      "confirmed 2 -1 7\n"
+      "verdicts 1 -2147483648\n";
+  EXPECT_EQ(health::HealthMonitor::deserialize(text).serialize(), text);
 }
 
 }  // namespace

@@ -206,6 +206,40 @@ TEST(ServerCodec, DecodeRequestRejectsDamage) {
   EXPECT_FALSE(decode_request(
       "heterog-rpc v1 request\nmodel vgg19\nbatch 32\nepisodes -1\n", &out, &error));
   EXPECT_FALSE(error.empty());
+  // Numbers take no leading '+' and no hex, and a name holds no tab.
+  const std::string head = "heterog-rpc v1 request\nmodel vgg19\n";
+  ASSERT_TRUE(decode_request(head + "batch 32\nlayers 5\n", &out, &error)) << error;
+  for (const char* tail : {"batch +32\n", "batch 0x20\n", "batch 32\nlayers +5\n",
+                                  "batch 32\nepisodes +3\n",
+                                  "batch 32\ndeadline_ms 0x10\n"}) {
+    EXPECT_FALSE(decode_request(head + tail, &out, &error)) << tail;
+  }
+  EXPECT_FALSE(decode_request("heterog-rpc v1 request\nmodel vgg19\tx\nbatch 32\n", &out,
+                              &error));
+}
+
+TEST(ServerCodec, DecodeReplyRejectsDamage) {
+  PlanReply out;
+  std::string error;
+  const std::string head = "heterog-rpc v1 reply\n";
+  ASSERT_TRUE(decode_reply(head + "status rejected\nreason queue_full\n", &out, &error))
+      << error;
+  ASSERT_TRUE(decode_reply(head + "status ok\nper_iteration_ms 16\nplan_lines 0\n", &out,
+                           &error))
+      << error;
+  // Nothing may follow a rejected reply's reason or an error reply's
+  // message, and numbers take no leading '+' and no hex.
+  for (const char* body : {
+           "status rejected\nreason queue_full\nextra line\n",
+           "status error\nmessage planning failed\nextra line\n",
+           "status ok\nper_iteration_ms 0x10\nplan_lines 0\n",
+           "status ok\nper_iteration_ms +16\nplan_lines 0\n",
+           "status ok\nplan_lines +0\n",
+       }) {
+    EXPECT_FALSE(decode_reply(head + body, &out, &error)) << body;
+  }
+  EXPECT_FALSE(decode_reply(head + "status ok\nplan_lines 2\nonly one\n", &out, &error));
+  EXPECT_FALSE(decode_reply(head + "status ok\nplan_lines 0\nextra\n", &out, &error));
 }
 
 // End-to-end ------------------------------------------------------------------

@@ -199,6 +199,15 @@ TEST(PlanStoreCodec, DecodeRejectsMalformedPayloads) {
   // A bounded-but-huge count must fail cleanly, not reserve gigabytes.
   EXPECT_FALSE(PlanStore::decode_eval(
       "eval 000000000000002a 1 1 1 1 0 peaks 999999999999 1", &key, &eval));
+  // A leading '+' is malformed in every numeric field.
+  ASSERT_TRUE(PlanStore::decode_eval(
+      "eval 000000000000002a 1 1 1 1 0 peaks 1 5 oomdevs 0", &key, &eval));
+  for (const char* plus : {"eval 000000000000002a +1 1 1 1 0 peaks 1 5 oomdevs 0",
+                           "eval 000000000000002a 1 1 1 1 0 peaks +1 5 oomdevs 0",
+                           "eval 000000000000002a 1 1 1 1 0 peaks 1 +5 oomdevs 0",
+                           "eval 000000000000002a 1 1 1 1 0 peaks 1 5 oomdevs 1 +2"}) {
+    EXPECT_FALSE(PlanStore::decode_eval(plus, &key, &eval)) << plus;
+  }
 }
 
 // Store basics ----------------------------------------------------------------
@@ -444,6 +453,19 @@ TEST(PlanStoreSkew, NewerFormatVersionRebuildsEmpty) {
   store.flush();
   sim::PlanEvaluation got;
   EXPECT_TRUE(store.lookup(1, &got));
+}
+
+TEST(PlanStoreSkew, SignedHeaderFieldsAreMalformed) {
+  // A signed generation makes the header malformed, so its records are
+  // quarantined like a skewed journal's.
+  TempDir dir("plusgen");
+  std::string journal = frame_record("heterog-store v1 gen +1");
+  journal += frame_record(PlanStore::encode_eval(12, make_eval(12)));
+  write_file((dir.path() / "evals.journal").string(), journal);
+  PlanStore store(opts(dir.str()));
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_GE(store.stats().records_quarantined, 2u);
+  EXPECT_TRUE(store.stats().healed);
 }
 
 TEST(PlanStoreSkew, GarbageJournalRebuildsEmpty) {
