@@ -41,7 +41,8 @@ int main() {
       {"Inception-v3 (b32)", models::ModelKind::kInceptionV3, 0, 32.0},
       {"Bert-large 48L (b24)", models::ModelKind::kBertLarge, 48, 24.0},
   };
-  const int search_episodes = env_int("HETEROG_EPISODES", fast_mode() ? 8 : 30);
+  const int search_episodes =
+      env_int("HETEROG_EPISODES", fast_mode() ? 8 : 30, 0, kNoLimit);
   const int thread_counts[] = {1, 2, 4};
   const unsigned cores = std::thread::hardware_concurrency();
   std::printf("host cores: %u%s\nsearch episodes: %d\n\n", cores,

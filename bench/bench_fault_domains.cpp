@@ -19,8 +19,6 @@
 #include "bench_util.h"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "ckpt/journal.h"
 #include "cluster/topology.h"
@@ -104,13 +102,6 @@ std::vector<cluster::DeviceId> devices_in_rack(const cluster::ClusterSpec& c,
     }
   }
   return out;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
 }
 
 /// A staggered rack-0 burst: 60%+ of the rack at `onset`, the rest two steps
@@ -254,9 +245,10 @@ int main() {
     const RunStats tail =
         resume_run((dir / "crash" / "journal.heterog").string(), bench_model);
     gate(tail.completed, "resumed run completes");
-    const std::string full_bytes = read_file((dir / "full" / "journal.heterog").string());
+    const std::string full_bytes =
+        read_file((dir / "full" / "journal.heterog").string()).value_or("");
     const std::string crash_bytes =
-        read_file((dir / "crash" / "journal.heterog").string());
+        read_file((dir / "crash" / "journal.heterog").string()).value_or("");
     gate(!full_bytes.empty() && full_bytes == crash_bytes,
          "crash + resume leaves a byte-identical journal");
     table.add_row({"crash at ckpt 10 + resume", "pod64",

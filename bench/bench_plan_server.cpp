@@ -192,9 +192,11 @@ int main() {
   print_header("Plan server load/chaos bench (latency + crash bit-identity)",
                "PR 7 robustness tentpole; docs/server.md");
 
-  const int clients = env_int("HETEROG_SERVER_CLIENTS", 4);
-  const int requests = env_int("HETEROG_SERVER_REQUESTS", fast_mode() ? 8 : 25);
-  const uint64_t seed = static_cast<uint64_t>(env_int("HETEROG_CHAOS_SEED", 7));
+  const int clients = env_int("HETEROG_SERVER_CLIENTS", 4, 1, kNoLimit);
+  const int requests =
+      env_int("HETEROG_SERVER_REQUESTS", fast_mode() ? 8 : 25, 1, kNoLimit);
+  const uint64_t seed =
+      static_cast<uint64_t>(env_int("HETEROG_CHAOS_SEED", 7, 0, kNoLimit));
 
   const fs::path dir =
       fs::temp_directory_path() / ("hg_bench_srv_" + std::to_string(::getpid()));

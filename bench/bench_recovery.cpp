@@ -169,7 +169,7 @@ int main() {
 
   // HETEROG_CHAOS_SEED adds a seed-generated schedule as one more mix; the
   // same seed always reproduces the same schedule (chaos.h pins this).
-  const int chaos_seed = env_int("HETEROG_CHAOS_SEED", -1);
+  const int chaos_seed = env_int("HETEROG_CHAOS_SEED", -1, 0, kNoLimit);
   if (chaos_seed >= 0) {
     faults::ChaosOptions chaos;
     chaos.seed = static_cast<uint64_t>(chaos_seed);

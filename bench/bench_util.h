@@ -4,7 +4,7 @@
 // Knobs (environment variables):
 //   HETEROG_EPISODES       RL episodes per HeteroG search (default 150)
 //   HETEROG_MAX_GROUPS     grouping size (default 48)
-//   HETEROG_BENCH_FAST     =1 shrinks searches for smoke runs
+//   HETEROG_BENCH_FAST     =1 shrinks searches for smoke runs (0 or 1)
 //   HETEROG_PLAN_CACHE     directory for cached plans (default ./bench_cache)
 //   HETEROG_BENCH_JSON     path: dump the metrics-registry snapshot (search
 //                          convergence, plan-cache traffic, utilization) as
@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -30,6 +31,7 @@
 
 #include "agent/policy.h"
 #include "baselines/baselines.h"
+#include "common/record_io.h"
 #include "common/table.h"
 #include "models/models.h"
 #include "obs/metrics.h"
@@ -40,18 +42,32 @@
 
 namespace heterog::bench {
 
-inline int env_int(const char* name, int fallback) {
+constexpr int kNoLimit = std::numeric_limits<int>::max();
+
+/// An integer knob from the environment, `fallback` when unset. The value is
+/// read as every text format reads numbers (common/record_io): the whole
+/// token, within [min, max]. Anything else stops the bench.
+inline int env_int(const char* name, int fallback, int min, int max) {
   const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
+  if (value == nullptr) return fallback;
+  try {
+    Fields fields(value);
+    const int knob = fields.integer<int>(name, min, max);
+    fields.finish();
+    return knob;
+  } catch (const ParseError& e) {
+    std::fprintf(stderr, "bench: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
-inline bool fast_mode() { return env_int("HETEROG_BENCH_FAST", 0) != 0; }
+inline bool fast_mode() { return env_int("HETEROG_BENCH_FAST", 0, 0, 1) == 1; }
 
 inline int episodes() {
-  return env_int("HETEROG_EPISODES", fast_mode() ? 20 : 150);
+  return env_int("HETEROG_EPISODES", fast_mode() ? 20 : 150, 0, kNoLimit);
 }
 
-inline int max_groups() { return env_int("HETEROG_MAX_GROUPS", 48); }
+inline int max_groups() { return env_int("HETEROG_MAX_GROUPS", 48, 1, kNoLimit); }
 
 inline std::string plan_cache_dir() {
   const char* dir = std::getenv("HETEROG_PLAN_CACHE");

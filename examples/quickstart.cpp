@@ -5,11 +5,13 @@
 // deployed plan against naive data parallelism.
 //
 //   $ ./quickstart [episodes]
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
-#include "analysis/analysis.h"
 #include "baselines/baselines.h"
+#include "common/table.h"
 #include "core/heterog.h"
 #include "models/models.h"
 
@@ -55,12 +57,34 @@ int main(int argc, char** argv) {
   std::printf("\n500 steps -> %.1f s total, computation %.1f ms / comm %.1f ms per iter\n",
               stats.total_ms / 1000.0, stats.computation_ms, stats.communication_ms);
 
-  // 5b. How the plan uses the cluster.
+  // 5b. How the plan uses the cluster: the deployment's single-iteration
+  //     schedule, with per-device and per-link busy times.
   {
-    sim::SimOptions options;
-    options.policy = runner.deployment().order;
-    const auto result = sim::Simulator(options).run(runner.dist_graph());
-    std::printf("\n%s\n", analysis::utilization(runner.dist_graph(), result).render().c_str());
+    const sim::PlanEvaluation& deployed = runner.deployment();
+    const double span = std::max(deployed.cold_iteration_ms, 1e-9);
+    double nccl_ms = 0.0;
+    double busiest_nic_ms = 0.0;
+    for (const auto& busy : deployed.comm_busy) {
+      if (busy.resource == "nccl") nccl_ms = busy.busy_ms;
+      if (busy.resource.rfind("nic ", 0) == 0) {
+        busiest_nic_ms = std::max(busiest_nic_ms, busy.busy_ms);
+      }
+    }
+    TextTable table({"device", "busy (ms)", "utilization"});
+    double fraction_total = 0.0;
+    for (size_t d = 0; d < deployed.device_busy_ms.size(); ++d) {
+      const double busy = deployed.device_busy_ms[d];
+      fraction_total += busy / span;
+      table.add_row(
+          {"G" + std::to_string(d), fmt_double(busy, 1), fmt_percent(busy / span)});
+    }
+    const size_t devices = std::max<size_t>(deployed.device_busy_ms.size(), 1);
+    const double utilization = fraction_total / static_cast<double>(devices);
+    std::printf("\nmakespan %s ms, mean GPU utilization %s, NCCL busy %s ms, "
+                "busiest NIC %s ms\n%s\n",
+                fmt_double(deployed.cold_iteration_ms, 1).c_str(),
+                fmt_percent(utilization).c_str(), fmt_double(nccl_ms, 1).c_str(),
+                fmt_double(busiest_nic_ms, 1).c_str(), table.render().c_str());
   }
 
   // 6. Compare with the best pure-DP baseline.

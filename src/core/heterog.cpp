@@ -16,6 +16,20 @@
 
 namespace heterog {
 
+PlannerInput profile_and_encode(const graph::GraphDef& training_graph,
+                                const cluster::ClusterSpec& cluster,
+                                const HeteroGConfig& config) {
+  // Profiler: regression cost models over the (synthetic) hardware.
+  const profiler::HardwareModel hardware(cluster);
+  profiler::Profiler prof(hardware, config.profiler_seed);
+  PlannerInput input;
+  input.costs = prof.profile(training_graph);
+  // Strategy Maker's input: features and the op grouping.
+  input.encoded =
+      agent::encode_graph(training_graph, *input.costs, config.agent.max_groups);
+  return input;
+}
+
 namespace {
 
 /// The choose stage's output: the grouping the Strategy Maker encoded and
@@ -31,14 +45,7 @@ struct Choice {
 Choice choose_plan(const graph::GraphDef& training_graph,
                    const cluster::ClusterSpec& cluster, const HeteroGConfig& config,
                    int rl_episodes) {
-  // Profiler: regression cost models over the (synthetic) hardware.
-  const profiler::HardwareModel hardware(cluster);
-  profiler::Profiler prof(hardware, config.profiler_seed);
-  const auto cost_model = prof.profile(training_graph);
-
-  // Strategy Maker.
-  agent::EncodedGraph encoded =
-      agent::encode_graph(training_graph, *cost_model, config.agent.max_groups);
+  PlannerInput input = profile_and_encode(training_graph, cluster, config);
 
   rl::TrainConfig train_config = config.train;
   train_config.episodes = rl_episodes;
@@ -55,17 +62,17 @@ Choice choose_plan(const graph::GraphDef& training_graph,
             .mix_string("profiled-cost-model-v1")
             .digest();
   }
-  rl::Trainer trainer(*cost_model, train_config);
+  rl::Trainer trainer(*input.costs, train_config);
   Choice choice;
   if (rl_episodes > 0) {
     agent::PolicyNetwork policy(cluster.device_count(), config.agent);
-    choice.search = trainer.search(policy, encoded);
+    choice.search = trainer.search(policy, input.encoded);
   } else {
-    choice.search = trainer.search_heuristic(training_graph, encoded.grouping);
+    choice.search = trainer.search_heuristic(training_graph, input.encoded.grouping);
   }
   check(!choice.search.best_strategy.group_actions.empty(),
         "choose_plan: search produced no strategy");
-  choice.grouping = std::move(encoded.grouping);
+  choice.grouping = std::move(input.encoded.grouping);
   return choice;
 }
 

@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 
+#include "agent/features.h"
 #include "agent/policy.h"
 #include "baselines/baselines.h"
 #include "ckpt/journal.h"
@@ -222,6 +223,21 @@ class DistRunner {
 DistRunner get_runner(const std::function<graph::GraphDef()>& model_func,
                       const cluster::ClusterSpec& device_info,
                       const HeteroGConfig& config = HeteroGConfig());
+
+/// What the choose stage plans on: `training_graph` profiled on `cluster`
+/// under config.profiler_seed, and encoded against that cost model into at
+/// most config.agent.max_groups op groups, seeded by the longest-running
+/// ops. A saved plan holds one action per group, so it means something only
+/// under `encoded.grouping`: get_runner plans with it, and `heterog_cli
+/// evaluate` rebuilds it. `training_graph` and `cluster` must outlive the
+/// result.
+struct PlannerInput {
+  std::shared_ptr<const profiler::CostModel> costs;
+  agent::EncodedGraph encoded;
+};
+PlannerInput profile_and_encode(const graph::GraphDef& training_graph,
+                                const cluster::ClusterSpec& cluster,
+                                const HeteroGConfig& config);
 
 /// Streams one `schedule` event plus one `device_utilization` per GPU and
 /// one `link_utilization` per busy communication resource for an evaluated

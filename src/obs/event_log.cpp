@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 
 #include "common/check.h"
@@ -169,16 +168,11 @@ uint64_t EventLog::events_emitted() const {
 double ParsedEvent::number(const std::string& key, double fallback) const {
   const auto it = fields.find(key);
   if (it == fields.end()) return fallback;
-  const char* text = it->second.c_str();
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text) {
-    // Booleans count as numbers for aggregation (true=1, false=0).
-    if (it->second == "true") return 1.0;
-    if (it->second == "false") return 0.0;
-    return fallback;
-  }
-  return value;
+  // Booleans count as numbers for aggregation (true=1, false=0).
+  if (it->second == "true") return 1.0;
+  if (it->second == "false") return 0.0;
+  double value = 0.0;
+  return read_number(it->second, &value) ? value : fallback;
 }
 
 std::string ParsedEvent::str(const std::string& key) const {
@@ -247,10 +241,13 @@ std::string parse_string(const std::string& s, size_t& pos, int line_no) {
   return out;
 }
 
-std::string parse_scalar(const std::string& s, size_t& pos, int line_no) {
+/// A string, or an unquoted `true`, `false` or number read in full (the
+/// writer's `inf`, `-inf` and `nan` included). *quoted tells them apart.
+std::string parse_scalar(const std::string& s, size_t& pos, int line_no, bool* quoted) {
   skip_ws(s, pos);
   if (pos >= s.size()) parse_fail(line_no, "missing value");
-  if (s[pos] == '"') return parse_string(s, pos, line_no);
+  *quoted = s[pos] == '"';
+  if (*quoted) return parse_string(s, pos, line_no);
   if (s[pos] == '{' || s[pos] == '[') {
     parse_fail(line_no, "nested values are not part of the v1 schema");
   }
@@ -259,6 +256,10 @@ std::string parse_scalar(const std::string& s, size_t& pos, int line_no) {
   std::string out = s.substr(start, pos - start);
   while (!out.empty() && (out.back() == ' ' || out.back() == '\t')) out.pop_back();
   if (out.empty()) parse_fail(line_no, "empty value");
+  double number = 0.0;
+  if (out != "true" && out != "false" && !read_number(out, &number)) {
+    parse_fail(line_no, "malformed value " + out);
+  }
   return out;
 }
 
@@ -285,11 +286,16 @@ ParsedEvent parse_line(const std::string& line, int line_no) {
     skip_ws(line, pos);
     if (pos >= line.size() || line[pos] != ':') parse_fail(line_no, "expected ':'");
     ++pos;
-    const std::string value = parse_scalar(line, pos, line_no);
+    bool quoted = false;
+    const std::string value = parse_scalar(line, pos, line_no, &quoted);
     if (key == "v") {
-      event.version = std::atoi(value.c_str());
+      if (quoted || !read_number(value, &event.version)) {
+        parse_fail(line_no, "malformed schema version " + value);
+      }
     } else if (key == "seq") {
-      event.seq = static_cast<uint64_t>(std::atoll(value.c_str()));
+      if (quoted || !read_number(value, &event.seq)) {
+        parse_fail(line_no, "malformed seq " + value);
+      }
     } else if (key == "type") {
       event.type = value;
     } else {

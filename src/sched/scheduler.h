@@ -10,6 +10,7 @@
 // tests/bench_appendix_bound reproduce both.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "compile/dist_graph.h"
@@ -19,20 +20,19 @@ namespace heterog::sched {
 /// Upward ranks over the distributed graph, in milliseconds (the unit of
 /// node durations). rank[i] >= duration[i] > 0 for every node with positive
 /// duration, and max_i rank[i] is the schedule's critical-path length.
-/// `extra_edges` (from, to) augment the graph's edges for ranking only (they
-/// must not create a cycle). Pure function — safe to call concurrently.
-std::vector<double> compute_ranks(
-    const compile::DistGraph& graph,
-    const std::vector<std::pair<compile::DistNodeId, compile::DistNodeId>>& extra_edges =
-        {});
+/// Pure function — safe to call concurrently.
+std::vector<double> compute_ranks(const compile::DistGraph& graph);
 
 /// As above, with a caller-supplied topological order of `graph` — avoids
 /// recomputing it when the caller already has one (sim::evaluate_plan ranks
 /// the same compiled graph several ways). `topo` must be a topological order
-/// of exactly this graph; results are identical to the overload above.
-std::vector<double> compute_ranks(
-    const compile::DistGraph& graph, const std::vector<compile::DistNodeId>& topo,
-    const std::vector<std::pair<compile::DistNodeId, compile::DistNodeId>>& extra_edges);
+/// of exactly this graph; results are identical to the overload above. The
+/// unnamed trailing parameter only keeps planbench/replay.cpp, which passes
+/// `{}`, compiling: planbench changes only with the benchmark, and that
+/// change drops both the argument and this parameter.
+std::vector<double> compute_ranks(const compile::DistGraph& graph,
+                                  const std::vector<compile::DistNodeId>& topo,
+                                  std::nullptr_t = nullptr);
 
 /// An execution order. sim::evaluate_plan simulates the candidates and
 /// records the winner as PlanEvaluation::order; every later simulation of
@@ -54,16 +54,17 @@ enum class OrderPolicy {
 /// in their natural (gradient-availability) order, so that an early
 /// gradient's rank carries the whole remaining AllReduce backlog and
 /// gradient ops interleave with backward compute — maximising the paper's
-/// computation/communication overlap objective.
+/// computation/communication overlap objective. Every chain edge points
+/// forward in `topo`, so one reverse sweep of it computes them.
 /// `topo` must be a topological order of exactly this graph (see
 /// compute_ranks).
 std::vector<double> rank_priorities(const compile::DistGraph& graph,
                                     const std::vector<compile::DistNodeId>& topo);
 
 /// The priorities that realise `policy` on `graph`: rank_priorities under
-/// kRankPriority, compute_ranks without extra edges under kPlainRanks, and
-/// zeros under kFifo, where arrival order decides and `topo` is not read.
-/// `topo` must be a topological order of exactly this graph. Pure function.
+/// kRankPriority, compute_ranks under kPlainRanks, and zeros under kFifo,
+/// where arrival order decides and `topo` is not read. `topo` must be a
+/// topological order of exactly this graph. Pure function.
 std::vector<double> priorities(const compile::DistGraph& graph,
                                const std::vector<compile::DistNodeId>& topo,
                                OrderPolicy policy);

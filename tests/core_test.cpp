@@ -159,5 +159,28 @@ TEST(Core, TwelveGpuClusterSupported) {
   EXPECT_EQ(runner.breakdown().mp_fraction.size(), 12u);
 }
 
+// A saved plan holds group actions only; evaluating it means rebuilding the
+// grouping the planner used. profile_and_encode is that recipe: it groups
+// on the profiled cost model, as get_runner does, not on ground truth (on
+// Inception-v3 b32 the two put 70 of 380 ops in different groups).
+TEST(Core, ProfileAndEncodeGroupsAsTheRunnerPlanned) {
+  const cluster::ClusterSpec cluster = cluster::make_paper_testbed_8gpu();
+  HeteroGConfig config = fast_config();
+  config.search_with_rl = false;
+  config.agent.max_groups = 48;
+  const auto model = [] {
+    return models::build_forward(models::ModelKind::kInceptionV3, 0, 32);
+  };
+  const auto runner = get_runner(model, cluster, config);
+  const graph::GraphDef training = graph::build_training_graph(model());
+  const PlannerInput input = profile_and_encode(training, cluster, config);
+  EXPECT_EQ(input.encoded.grouping.assignment(), runner.grouping().assignment());
+
+  const profiler::HardwareModel hardware(cluster);
+  const profiler::GroundTruthCosts ground_truth(hardware);
+  EXPECT_NE(strategy::Grouping::build(training, ground_truth, 48).assignment(),
+            runner.grouping().assignment());
+}
+
 }  // namespace
 }  // namespace heterog

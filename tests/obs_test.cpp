@@ -252,6 +252,53 @@ TEST(EventLog, ReaderRejectsMalformedLines) {
   fs::remove(path);
 }
 
+TEST(EventLog, ReaderReadsNumbersInFull) {
+  const std::string path = temp_path("obs_numbers.jsonl");
+  const auto write = [&](const std::string& text) {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  };
+  const auto rejected_on_line_2 = [&](const std::string& line) {
+    write("{\"v\":1,\"seq\":0,\"type\":\"run_start\"}\n" + line + "\n");
+    try {
+      read_events(path);
+    } catch (const EventLogError& e) {
+      return std::string(e.what()).find("line 2:") != std::string::npos;
+    }
+    return false;
+  };
+
+  EXPECT_TRUE(rejected_on_line_2("{\"v\":1x,\"seq\":1,\"type\":\"run_start\"}"));
+  EXPECT_TRUE(rejected_on_line_2("{\"v\":1,\"seq\":7abc,\"type\":\"run_start\"}"));
+  EXPECT_TRUE(rejected_on_line_2(
+      "{\"v\":1,\"seq\":1,\"type\":\"schedule\",\"makespan_ms\":12.5ms}"));
+  EXPECT_TRUE(rejected_on_line_2("{\"v\":0,\"seq\":1,\"type\":\"run_start\"}"));
+  EXPECT_TRUE(rejected_on_line_2("{\"v\":\"1\",\"seq\":1,\"type\":\"run_start\"}"));
+  EXPECT_TRUE(rejected_on_line_2("{\"v\":1,\"seq\":-1,\"type\":\"run_start\"}"));
+  EXPECT_TRUE(rejected_on_line_2("{\"v\":1,\"seq\":+1,\"type\":\"run_start\"}"));
+  EXPECT_TRUE(rejected_on_line_2("{\"v\":1,\"seq\":1,\"type\":\"run_start\",\"ok\":yes}"));
+
+  // Every scalar the writer emits still reads back, the extremes included.
+  {
+    EventLog log(path);
+    ASSERT_TRUE(log.ok());
+    log.emit(Event("schedule")
+                 .with("makespan_ms", std::numeric_limits<double>::quiet_NaN())
+                 .with("comm_ms", -std::numeric_limits<double>::infinity())
+                 .with("compute_ms", std::numeric_limits<double>::denorm_min())
+                 .with("devices", std::numeric_limits<int64_t>::min())
+                 .with("feasible", true));
+  }
+  const std::vector<ParsedEvent> events = read_events(path);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_TRUE(std::isnan(events[0].number("makespan_ms")));
+  EXPECT_EQ(events[0].number("comm_ms"), -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(events[0].number("compute_ms"), std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(events[0].number("devices"), -9223372036854775808.0);
+  EXPECT_EQ(events[0].number("feasible"), 1.0);
+  fs::remove(path);
+}
+
 TEST(EventLog, ConcurrentEmitsNeverTearLines) {
   const std::string path = temp_path("obs_concurrent.jsonl");
   constexpr int kThreads = 8;

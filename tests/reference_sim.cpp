@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <queue>
+#include <unordered_map>
+#include <utility>
 
 #include "common/check.h"
 #include "sim/sim_order.h"
@@ -276,6 +278,48 @@ sim::SimResult reference_run(const compile::DistGraph& graph,
   return reference_run(
       graph, sched::priorities(graph, graph.topological_order(), options.policy),
       options);
+}
+
+std::vector<double> reference_rank_priorities(
+    const compile::DistGraph& graph, const std::vector<compile::DistNodeId>& topo) {
+  const int n = graph.node_count();
+  const auto& resources = graph.resources();
+  std::vector<std::vector<compile::DistNodeId>> extra_succ(static_cast<size_t>(n));
+  std::unordered_map<int, compile::DistNodeId> prev_on_resource;
+  for (const auto id : topo) {
+    const auto& node = graph.node(id);
+    if (!node.is_communication()) continue;
+    const int res = resources.resource_of(node);
+    const auto [it, inserted] = prev_on_resource.try_emplace(res, id);
+    if (!inserted) {
+      extra_succ[static_cast<size_t>(it->second)].push_back(id);
+      it->second = id;
+    }
+  }
+
+  std::vector<double> ranks(static_cast<size_t>(n), 0.0);
+  auto relax = [&](compile::DistNodeId id) {
+    double max_succ = 0.0;
+    for (auto s : graph.successors(id)) {
+      max_succ = std::max(max_succ, ranks[static_cast<size_t>(s)]);
+    }
+    for (auto s : extra_succ[static_cast<size_t>(id)]) {
+      max_succ = std::max(max_succ, ranks[static_cast<size_t>(s)]);
+    }
+    const double updated = graph.node(id).duration_ms + max_succ;
+    const bool changed = updated > ranks[static_cast<size_t>(id)] + 1e-12;
+    ranks[static_cast<size_t>(id)] = updated;
+    return changed;
+  };
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) relax(*it);
+  bool changed = true;
+  for (int guard = 0; changed && guard < 64; ++guard) {
+    changed = false;
+    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+      changed = relax(*it) || changed;
+    }
+  }
+  return ranks;
 }
 
 }  // namespace heterog::testing

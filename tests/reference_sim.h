@@ -4,7 +4,8 @@
 // (src/sim/sim_core.cpp). The library ships one simulator; the sim, simdiff
 // and fuzz suites run this one beside it and demand bit-identical results.
 // Both pop ready nodes and drain events through the comparators in
-// sim/sim_order.h.
+// sim/sim_order.h. Beside it sits the original extra-edge fixpoint for the
+// scheduler's resource-chained ranks, the oracle for sched::rank_priorities.
 #pragma once
 
 #include <vector>
@@ -25,5 +26,12 @@ sim::SimResult reference_run(const compile::DistGraph& graph,
 /// `options.policy`.
 sim::SimResult reference_run(const compile::DistGraph& graph,
                              const sim::SimOptions& options = sim::SimOptions());
+
+/// The resource-chained upward ranks sched::rank_priorities returns, computed
+/// the way the library first did: the communication nodes of each resource
+/// chained in `topo` order as extra edges, one reverse sweep of `topo`, then
+/// further sweeps until no rank changes.
+std::vector<double> reference_rank_priorities(
+    const compile::DistGraph& graph, const std::vector<compile::DistNodeId>& topo);
 
 }  // namespace heterog::testing

@@ -6,7 +6,8 @@
 // makespans, busy times, peak-memory vectors and the full start/finish trace
 // are compared with exact (memcmp-grade) equality, never tolerances.
 // Scenarios are seeded and randomized: models × clusters × policies × fault
-// scalings × single-action strategy deltas.
+// scalings × single-action strategy deltas. The scheduler's resource-chained
+// ranks are held to the original extra-edge fixpoint the same way.
 //
 // ctest label: simdiff (runs under ASan/UBSan and TSan in CI).
 #include <cstring>
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/topology.h"
 #include "compile/compiler.h"
 #include "faults/faults.h"
 #include "graph/training.h"
@@ -303,6 +305,54 @@ TEST(SimDiffTest, FaultInjectorPathsAgree) {
   for (int step = 4; step < 8; ++step) {
     expect_step_agrees(step, replanned.graph, survivors.cluster, remapped);
   }
+}
+
+// rank_priorities sweeps the topological order once; the reference chains
+// each resource's communication nodes as extra edges and repeats the sweep
+// until nothing changes. Random strategies on three paper models and three
+// cluster sizes, each compiled single and unrolled, must rank identically.
+TEST(SimDiffTest, RankPrioritiesMatchExtraEdgeFixpoint) {
+  struct Model {
+    models::ModelKind kind;
+    double batch;
+  };
+  const Model model_cases[] = {{models::ModelKind::kMobileNetV2, 64.0},
+                               {models::ModelKind::kInceptionV3, 32.0},
+                               {models::ModelKind::kVgg19, 32.0}};
+  std::vector<std::pair<std::string, cluster::ClusterSpec>> clusters;
+  clusters.emplace_back("8gpu", cluster::make_paper_testbed_8gpu());
+  for (const char* preset : {"rack16", "pod64"}) {
+    clusters.emplace_back(preset,
+                          cluster::generate_cluster(*cluster::topo_preset(preset)));
+  }
+  std::mt19937 rng(2024);
+  int chained = 0;  // graphs where the resource chains change some rank
+  for (const auto& [cluster_name, spec] : clusters) {
+    const testing::TestRig rig(spec);
+    for (const auto& m : model_cases) {
+      const auto graph = models::build_training(m.kind, 0, m.batch);
+      const auto grouping = strategy::Grouping::build(graph, *rig.costs, 32);
+      strategy::StrategyMap map = strategy::StrategyMap::uniform(
+          grouping.group_count(), random_action(rng, spec.device_count()));
+      for (auto& action : map.group_actions) {
+        if (rng() % 3 == 0) action = random_action(rng, spec.device_count());
+      }
+      const auto single = rig.compiler->compile(graph, grouping, map);
+      const auto unrolled =
+          rig.compiler->compile(graph::unroll_iterations(graph, 2),
+                                strategy::Grouping::unroll(grouping, 2), map);
+      for (const auto* compiled : {&single, &unrolled}) {
+        SCOPED_TRACE(cluster_name + " " + models::model_kind_name(m.kind) +
+                     (compiled == &single ? " single" : " unrolled"));
+        const auto topo = compiled->graph.topological_order();
+        const auto ranks = sched::rank_priorities(compiled->graph, topo);
+        EXPECT_TRUE(
+            bytes_equal(testing::reference_rank_priorities(compiled->graph, topo), ranks));
+        chained += !bytes_equal(sched::compute_ranks(compiled->graph, topo), ranks);
+      }
+    }
+  }
+  EXPECT_GE(chained, 12) << "most graphs should serialise communication";
 }
 
 }  // namespace

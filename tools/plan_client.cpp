@@ -1,9 +1,5 @@
 // plan_client — command-line client for the plan server (docs/server.md).
-//
-//   plan_client (--socket PATH | --port N) --model NAME --batch B
-//               [--cluster 8gpu|12gpu|fig3|homog8] [--layers L]
-//               [--episodes N] [--deadline-ms X] [--seed S]
-//               [--timeout-ms N] [--quiet]
+// Run without arguments for its flags, declared in tools/cli.cpp.
 //
 // Prints the reply: headline metrics on stdout, the plan text after it.
 // Exit codes tell scripts exactly what happened:
@@ -13,76 +9,41 @@
 //   3 — server rejected the request (queue full, draining, frame-level)
 //   4 — server error reply (unknown model/cluster, planner failure)
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "cli.h"
 #include "server/plan_client.h"
 
-namespace {
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: plan_client (--socket PATH | --port N) --model NAME "
-               "--batch B\n"
-               "       [--cluster NAME] [--layers L] [--episodes N]\n"
-               "       [--deadline-ms X] [--seed S] [--timeout-ms N] [--quiet]\n");
-  return 1;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  using heterog::server::ClientOptions;
-  using heterog::server::PlanClient;
-  using heterog::server::PlanReply;
-  using heterog::server::PlanRequest;
+  using namespace heterog::server;
+  heterog::FlagValues flags;
+  try {
+    flags = heterog::cli::plan_client_flags().parse({argv + 1, argv + argc});
+    if (!flags.has("socket") && !flags.has("port")) {
+      throw heterog::UsageError("needs --socket PATH or --port N");
+    }
+  } catch (const heterog::UsageError& e) {
+    if (argc == 1) {
+      std::fprintf(stderr, "usage: plan_client %s\n",
+                   heterog::cli::plan_client_flags().usage(19).c_str());
+    } else {
+      std::fprintf(stderr, "error: plan_client: %s\n", e.what());
+    }
+    return 1;
+  }
 
   ClientOptions copts;
+  copts.unix_path = flags.text("socket");
+  if (flags.has("port")) copts.tcp_port = flags.integer<int>("port");
+  copts.timeout_ms = flags.integer<int>("timeout-ms");
   PlanRequest request;
-  bool quiet = false;
-  bool have_batch = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (flag == "--quiet") {
-      quiet = true;
-      continue;
-    }
-    const char* v = value();
-    if (v == nullptr) return usage();
-    if (flag == "--socket") {
-      copts.unix_path = v;
-    } else if (flag == "--port") {
-      copts.tcp_port = std::atoi(v);
-    } else if (flag == "--timeout-ms") {
-      copts.timeout_ms = std::atoi(v);
-    } else if (flag == "--model") {
-      request.model = v;
-    } else if (flag == "--batch") {
-      request.batch = std::atof(v);
-      have_batch = true;
-    } else if (flag == "--cluster") {
-      request.cluster = v;
-    } else if (flag == "--layers") {
-      request.layers = std::atoi(v);
-    } else if (flag == "--episodes") {
-      request.episodes = std::atoi(v);
-    } else if (flag == "--deadline-ms") {
-      request.deadline_ms = std::atof(v);
-    } else if (flag == "--seed") {
-      request.seed = static_cast<uint64_t>(std::strtoull(v, nullptr, 10));
-    } else {
-      return usage();
-    }
-  }
-  if ((copts.unix_path.empty() && copts.tcp_port < 0) || request.model.empty() ||
-      !have_batch || copts.timeout_ms <= 0) {
-    return usage();
-  }
+  request.model = flags.text("model");
+  request.batch = flags.real("batch");
+  request.cluster = flags.text("cluster");
+  if (flags.has("layers")) request.layers = flags.integer<int>("layers");
+  request.episodes = flags.integer<int>("episodes");
+  request.deadline_ms = flags.real("deadline-ms");
+  request.seed = flags.integer<uint64_t>("seed");
 
   PlanClient client(copts);
   PlanReply reply;
@@ -94,8 +55,7 @@ int main(int argc, char** argv) {
 
   switch (reply.status) {
     case PlanReply::Status::kRejected:
-      std::fprintf(stderr, "rejected: %s\n",
-                   heterog::server::reject_reason_name(reply.reject_reason));
+      std::fprintf(stderr, "rejected: %s\n", reject_reason_name(reply.reject_reason));
       return 3;
     case PlanReply::Status::kError:
       std::fprintf(stderr, "server error: %s\n", reply.error.c_str());
@@ -107,6 +67,6 @@ int main(int argc, char** argv) {
   std::printf("plan: %.2f ms / iteration, feasible=%s, degraded=%s\n",
               reply.per_iteration_ms, reply.feasible ? "yes" : "no",
               reply.degraded ? "yes" : "no");
-  if (!quiet) std::printf("%s", reply.plan_text.c_str());
+  if (!flags.has("quiet")) std::printf("%s", reply.plan_text.c_str());
   return 0;
 }
