@@ -45,6 +45,7 @@ compile::DistGraph build_worst_case(int h, int k, double p, double e) {
     }
   }
   for (int i = 0; i < k; ++i) add_op(h - 1, p);
+  g.finalize();
   return g;
 }
 
@@ -78,6 +79,7 @@ int main() {
           if (rng.uniform() < 0.25) g.add_edge(i, j);
         }
       }
+      g.finalize();
       const double t_ls = sim::simulate_iteration_ms(g);
       const double t_opt = sim::optimal_makespan_exhaustive(g);
       table.add_row({"random-" + std::to_string(trial), std::to_string(m),

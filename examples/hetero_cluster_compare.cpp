@@ -8,9 +8,9 @@
 //
 //   $ ./hetero_cluster_compare [episodes]
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/heterog.h"
+#include "example_args.h"
 #include "models/models.h"
 
 namespace {
@@ -31,7 +31,7 @@ void report(const char* title, const heterog::DistRunner& runner,
 
 int main(int argc, char** argv) {
   using namespace heterog;
-  const int episodes = argc > 1 ? std::atoi(argv[1]) : 60;
+  const int episodes = examples::count_arg(argc, argv, 1, "episodes", 60);
 
   auto model_func = [] {
     return models::build_forward(models::ModelKind::kResNet200, 0, 192);

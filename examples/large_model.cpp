@@ -8,15 +8,15 @@
 //
 //   $ ./large_model [episodes]
 #include <cstdio>
-#include <cstdlib>
 
 #include "baselines/baselines.h"
 #include "core/heterog.h"
+#include "example_args.h"
 #include "models/models.h"
 
 int main(int argc, char** argv) {
   using namespace heterog;
-  const int episodes = argc > 1 ? std::atoi(argv[1]) : 80;
+  const int episodes = examples::count_arg(argc, argv, 1, "episodes", 80);
 
   const cluster::ClusterSpec devices = cluster::make_paper_testbed_8gpu();
   auto model_func = [] {

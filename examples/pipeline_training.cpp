@@ -10,16 +10,16 @@
 //
 //   $ ./pipeline_training [episodes]
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/heterog.h"
+#include "example_args.h"
 #include "graph/pipeline.h"
 #include "models/models.h"
 #include "sim/plan_eval.h"
 
 int main(int argc, char** argv) {
   using namespace heterog;
-  const int episodes = argc > 1 ? std::atoi(argv[1]) : 60;
+  const int episodes = examples::count_arg(argc, argv, 1, "episodes", 60);
 
   const auto devices = cluster::make_paper_testbed_8gpu();
   HeteroGConfig config;

@@ -7,18 +7,18 @@
 //   $ ./quickstart [episodes]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "baselines/baselines.h"
 #include "common/table.h"
 #include "core/heterog.h"
+#include "example_args.h"
 #include "models/models.h"
 
 int main(int argc, char** argv) {
   using namespace heterog;
 
-  const int episodes = argc > 1 ? std::atoi(argv[1]) : 60;
+  const int episodes = examples::count_arg(argc, argv, 1, "episodes", 60);
 
   // 1. The "single-GPU model": VGG-19 at global batch 192 (Table 1's
   //    configuration). Any graph::GraphDef works — see src/models for the

@@ -7,17 +7,17 @@
 //   $ ./unseen_graph [pretrain_rounds] [episodes]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "agent/policy.h"
+#include "example_args.h"
 #include "models/models.h"
 #include "profiler/hardware_model.h"
 #include "rl/trainer.h"
 
 int main(int argc, char** argv) {
   using namespace heterog;
-  const int pretrain_rounds = argc > 1 ? std::atoi(argv[1]) : 40;
-  const int episodes = argc > 2 ? std::atoi(argv[2]) : 60;
+  const int pretrain_rounds = examples::count_arg(argc, argv, 1, "pretrain_rounds", 40);
+  const int episodes = examples::count_arg(argc, argv, 2, "episodes", 60);
 
   const auto devices = cluster::make_paper_testbed_8gpu();
   profiler::HardwareModel hw(devices);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <unordered_map>
 
 #include "common/check.h"
 
@@ -22,7 +24,9 @@ EncodedGraph encode_graph(const graph::GraphDef& graph,
   encoded.grouping = strategy::Grouping::build(graph, costs, max_groups);
 
   // Mean transfer bandwidth proxy: average over all ordered pairs of the
-  // time to ship this op's output.
+  // time to ship this op's output. The mean depends on the output size
+  // alone, so each distinct size is averaged once (a model has a few dozen).
+  std::unordered_map<int64_t, double> mean_transfer_ms;
   for (graph::OpId id = 0; id < n; ++id) {
     const auto& op = graph.op(id);
     int col = 0;
@@ -31,16 +35,20 @@ EncodedGraph encode_graph(const graph::GraphDef& graph,
           std::log1p(costs.op_time_ms(op, graph.global_batch(), dev.id));
     }
     const int64_t out_bytes = op.out_bytes(graph.global_batch());
-    double transfer_total = 0.0;
-    int pairs = 0;
-    for (const auto& a : cluster.devices()) {
-      for (const auto& b : cluster.devices()) {
-        if (a.id == b.id) continue;
-        transfer_total += costs.transfer_time_ms(out_bytes, a.id, b.id);
-        ++pairs;
+    const auto [mean, fresh] = mean_transfer_ms.try_emplace(out_bytes, 0.0);
+    if (fresh) {
+      double transfer_total = 0.0;
+      int pairs = 0;
+      for (const auto& a : cluster.devices()) {
+        for (const auto& b : cluster.devices()) {
+          if (a.id == b.id) continue;
+          transfer_total += costs.transfer_time_ms(out_bytes, a.id, b.id);
+          ++pairs;
+        }
       }
+      mean->second = transfer_total / std::max(pairs, 1);
     }
-    encoded.features.at(id, col++) = std::log1p(transfer_total / std::max(pairs, 1));
+    encoded.features.at(id, col++) = std::log1p(mean->second);
     encoded.features.at(id, col++) = std::log1p(static_cast<double>(out_bytes));
     encoded.features.at(id, col++) = std::log1p(static_cast<double>(op.param_bytes));
     encoded.features.at(id, col++) = op.batch_divisible ? 1.0 : 0.0;

@@ -236,7 +236,7 @@ class CompilerPass {
       const auto& src = pu.slots.front();
       if (pv.slots.size() == 1) {
         const auto& dst = pv.slots.front();
-        const DistNodeId feed = materialize_on(src.node, result_.graph.node(src.node).output_bytes,
+        const DistNodeId feed = materialize_on(src.node, result_.graph.output_bytes(src.node),
                                                src.device, dst.device,
                                                node_name(u_op.name, "/send"));
         result_.graph.add_edge(feed, pv.slots.front().node);
@@ -246,7 +246,7 @@ class CompilerPass {
       if (u_op.batch_divisible) {
         // Output carries the batch dimension: Split then scatter shards.
         const DistNodeId split = add_structural(
-            OpKind::kSplit, node_name(u_op.name, "/split"), result_.graph.node(src.node).output_bytes,
+            OpKind::kSplit, node_name(u_op.name, "/split"), result_.graph.output_bytes(src.node),
             src.device);
         result_.graph.add_edge(src.node, split);
         for (const auto& dst : pv.slots) {
@@ -264,7 +264,7 @@ class CompilerPass {
         // Batch-independent tensor: broadcast the full payload per device.
         for (const auto& dst : pv.slots) {
           const DistNodeId feed =
-              materialize_on(src.node, result_.graph.node(src.node).output_bytes, src.device,
+              materialize_on(src.node, result_.graph.output_bytes(src.node), src.device,
                              dst.device, node_name(u_op.name, "/bcast"));
           if (feed == src.node && dst.device == src.device) {
             result_.graph.add_edge(src.node, dst.node);
@@ -285,7 +285,7 @@ class CompilerPass {
                                              full_bytes, stage);
     for (const auto& s : pu.slots) {
       const DistNodeId feed = materialize_on(
-          s.node, result_.graph.node(s.node).output_bytes, s.device, stage,
+          s.node, result_.graph.output_bytes(s.node), s.device, stage,
           node_name(u_op.name, "/gather"));
       result_.graph.add_edge(feed, concat);
     }
@@ -686,6 +686,7 @@ class CompilerPass {
     if (result_.graph.static_param_bytes().empty()) {
       result_.graph.add_static_param_bytes(0, 0);
     }
+    result_.graph.finalize();
     if (compiler_.options().validate_output) {
       std::string error;
       check_lazy(result_.graph.validate(&error),

@@ -60,12 +60,12 @@ struct CompilerOptions {
   /// minimiser per group, the paper's default). Used to study PS placement
   /// (Fig. 2(a): colocate the PS with the slowest worker).
   int forced_ps_device = -1;
-  /// Emit human-readable DistNode names ("conv1/r3", "fc/allreduce", ...).
-  /// Names are write-only during compilation — nothing downstream of the
-  /// simulator reads them — so the search hot loop (sim::evaluate_plan)
-  /// disables them to skip the per-node string construction. Structure,
-  /// durations and edge order are identical either way; traces and
-  /// deployment tooling compile with names on.
+  /// Emit human-readable node names ("conv1/r3", "fc/allreduce", ...) into
+  /// the graph's side table of names. Nothing downstream of the simulator
+  /// reads them, so the search hot loop (sim::evaluate_plan) disables them
+  /// to skip the per-node string construction. Structure, durations and
+  /// edge order are identical either way; traces and deployment tooling
+  /// compile with names on.
   bool emit_node_names = true;
   /// Run DistGraph::validate over the compiled graph (an O(V+E) internal
   /// consistency assert; it never alters the output). The search hot loop

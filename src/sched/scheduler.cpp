@@ -1,7 +1,6 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace heterog::sched {
 
@@ -16,28 +15,23 @@ std::vector<double> upward_ranks(const compile::DistGraph& graph,
                                  const std::vector<compile::DistNodeId>& topo,
                                  bool chain_resources) {
   std::vector<double> ranks(static_cast<size_t>(graph.node_count()), 0.0);
-  const auto& resources = graph.resources();
-  // Keyed map instead of a dense per-resource vector: resource_count() is
-  // O(D^2) in cluster size (every ordered device pair is a link resource),
-  // so a 1000-GPU cluster would allocate and zero ~1M slots per call even
-  // though only the handful of resources with communication nodes matter.
-  std::unordered_map<int, compile::DistNodeId> next_on_resource;
+  // Per resource the graph uses (dense id): its next communication node in
+  // `topo`, i.e. the one swept last.
+  std::vector<compile::DistNodeId> next_on_resource(
+      chain_resources ? static_cast<size_t>(graph.used_resource_count()) : 0, -1);
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const compile::DistNodeId id = *it;
-    const auto& node = graph.node(id);
     double max_succ = 0.0;
     for (const auto s : graph.successors(id)) {
       max_succ = std::max(max_succ, ranks[static_cast<size_t>(s)]);
     }
-    if (chain_resources && node.is_communication()) {
-      const auto [next, first] =
-          next_on_resource.try_emplace(resources.resource_of(node), id);
-      if (!first) {
-        max_succ = std::max(max_succ, ranks[static_cast<size_t>(next->second)]);
-        next->second = id;
-      }
+    if (chain_resources && graph.is_communication(id)) {
+      auto& next = next_on_resource[static_cast<size_t>(
+          graph.queue_resources()[static_cast<size_t>(id)])];
+      if (next >= 0) max_succ = std::max(max_succ, ranks[static_cast<size_t>(next)]);
+      next = id;
     }
-    ranks[static_cast<size_t>(id)] = node.duration_ms + max_succ;
+    ranks[static_cast<size_t>(id)] = graph.duration_ms(id) + max_succ;
   }
   return ranks;
 }

@@ -1,6 +1,7 @@
 #include "sim/fault_sim.h"
 
 #include <algorithm>
+#include <span>
 
 namespace heterog::sim {
 
@@ -13,7 +14,7 @@ using compile::NodeKind;
 /// ring/collective runs at the speed of its most degraded segment.
 double collective_link_factor(const cluster::ClusterSpec& cluster,
                               const faults::FaultScaling& scaling,
-                              const std::vector<cluster::DeviceId>& participants) {
+                              std::span<const cluster::DeviceId> participants) {
   double factor = 1.0;
   for (size_t i = 0; i < participants.size(); ++i) {
     for (size_t j = i + 1; j < participants.size(); ++j) {
@@ -29,47 +30,51 @@ double collective_link_factor(const cluster::ClusterSpec& cluster,
 compile::DistGraph apply_fault_scaling(const compile::DistGraph& graph,
                                        const cluster::ClusterSpec& cluster,
                                        const faults::FaultScaling& scaling) {
-  compile::DistGraph scaled = graph;
-  for (DistNodeId id = 0; id < scaled.node_count(); ++id) {
-    auto& node = scaled.mutable_node(id);
-    switch (node.kind) {
-      case NodeKind::kCompute:
-        if (node.device >= 0 &&
-            static_cast<size_t>(node.device) < scaling.compute_slowdown.size()) {
-          node.duration_ms *= scaling.compute_slowdown[static_cast<size_t>(node.device)];
+  std::vector<double> durations = graph.durations();
+  for (DistNodeId id = 0; id < graph.node_count(); ++id) {
+    double& duration = durations[static_cast<size_t>(id)];
+    switch (graph.kind(id)) {
+      case NodeKind::kCompute: {
+        const cluster::DeviceId device = graph.device(id);
+        if (device >= 0 && static_cast<size_t>(device) < scaling.compute_slowdown.size()) {
+          duration *= scaling.compute_slowdown[static_cast<size_t>(device)];
         }
         break;
+      }
       case NodeKind::kTransfer: {
-        const double factor = scaling.link_factor(cluster, node.link_from, node.link_to);
-        if (factor < 1.0) node.duration_ms /= factor;
+        const double factor =
+            scaling.link_factor(cluster, graph.link_from(id), graph.link_to(id));
+        if (factor < 1.0) duration /= factor;
         break;
       }
       case NodeKind::kCollective: {
         const double factor =
-            collective_link_factor(cluster, scaling, node.participants);
-        if (factor < 1.0) node.duration_ms /= factor;
+            collective_link_factor(cluster, scaling, graph.participants(id));
+        if (factor < 1.0) duration /= factor;
         break;
       }
     }
   }
-  return scaled;
+  return graph.with_durations(std::move(durations));
 }
 
 bool plan_uses_device(const compile::DistGraph& graph, cluster::DeviceId device) {
-  for (const auto& node : graph.nodes()) {
-    switch (node.kind) {
+  for (DistNodeId id = 0; id < graph.node_count(); ++id) {
+    switch (graph.kind(id)) {
       case NodeKind::kCompute:
-        if (node.device == device) return true;
+        if (graph.device(id) == device) return true;
         break;
       case NodeKind::kTransfer:
-        if (node.link_from == device || node.link_to == device) return true;
+        if (graph.link_from(id) == device || graph.link_to(id) == device) return true;
         break;
-      case NodeKind::kCollective:
-        if (std::find(node.participants.begin(), node.participants.end(), device) !=
-            node.participants.end()) {
+      case NodeKind::kCollective: {
+        const auto participants = graph.participants(id);
+        if (std::find(participants.begin(), participants.end(), device) !=
+            participants.end()) {
           return true;
         }
         break;
+      }
     }
   }
   return false;
@@ -101,10 +106,10 @@ const FaultInjector::StepMeasurement& FaultInjector::measure(
     m.makespan_ms = result.makespan_ms;
     m.device_busy_ms.assign(static_cast<size_t>(cluster_.device_count()), 0.0);
     const compile::ResourceModel& resources = graph_.resources();
-    for (int r = 0; r < static_cast<int>(result.resource_busy_ms.size()); ++r) {
-      if (resources.is_gpu_resource(r) && r < cluster_.device_count()) {
-        m.device_busy_ms[static_cast<size_t>(r)] =
-            result.resource_busy_ms[static_cast<size_t>(r)];
+    for (const ResourceBusy& busy : result.resource_busy) {
+      if (resources.is_gpu_resource(busy.resource) &&
+          busy.resource < cluster_.device_count()) {
+        m.device_busy_ms[static_cast<size_t>(busy.resource)] = busy.busy_ms;
       }
     }
     it = memo_.emplace(key, std::move(m)).first;

@@ -18,9 +18,10 @@
 
 namespace heterog::sim {
 
-/// Copy of `graph` with durations scaled by the active fault set: compute
-/// nodes by their device's slowdown, transfer/collective nodes by the
-/// inverse of the degraded link bandwidth factor on their path.
+/// `graph` with durations scaled by the active fault set: compute nodes by
+/// their device's slowdown, transfer/collective nodes by the inverse of the
+/// degraded link bandwidth factor on their path. The result shares the
+/// graph's structure and owns only the scaled durations.
 compile::DistGraph apply_fault_scaling(const compile::DistGraph& graph,
                                        const cluster::ClusterSpec& cluster,
                                        const faults::FaultScaling& scaling);

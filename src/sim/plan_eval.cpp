@@ -38,8 +38,7 @@ void collect_utilization(const compile::DistGraph& graph, const SimResult& singl
                          const std::vector<double>& plain_ranks, PlanEvaluation& eval) {
   const compile::ResourceModel& resources = graph.resources();
   eval.device_busy_ms.assign(static_cast<size_t>(resources.device_count()), 0.0);
-  for (int r = 0; r < static_cast<int>(single.resource_busy_ms.size()); ++r) {
-    const double busy = single.resource_busy_ms[static_cast<size_t>(r)];
+  for (const auto& [r, busy] : single.resource_busy) {
     if (resources.is_gpu_resource(r)) {
       eval.device_busy_ms[static_cast<size_t>(r)] = busy;
     } else if (busy > 0.0) {
@@ -81,6 +80,79 @@ uint64_t unroll_key(const graph::GraphDef& graph, const strategy::Grouping& grou
   return h.digest();
 }
 
+/// Validates `graph` and binds the workspace's view to it; every run until
+/// the next bind simulates it.
+void bind(SimWorkspace& ws, const compile::DistGraph& graph) {
+  validate_for_simulation(graph);
+  ws.graph.build(graph);
+}
+
+/// Single iteration: memory, breakdown and cold makespan, under the order
+/// the scheduler's tryout picks. The compiled graph lives only for this
+/// call, so the larger unroll compiles without it.
+///
+/// For HeteroG's order policy the Scheduler is simulator-driven: it tries
+/// the resource-chained ranks, the plain upward ranks and the FIFO order on
+/// the compiled graph and enforces whichever finishes first (list
+/// scheduling has no universally dominant priority rule; simulating the
+/// candidates is exactly what the paper's Scheduler/Simulator pair is for).
+/// Each candidate runs once with memory tracking, which never changes the
+/// dispatch order; a later one wins only on a strictly smaller makespan. A
+/// FIFO request tries FIFO alone.
+PlanEvaluation evaluate_cold_iteration(const compile::GraphCompiler& compiler,
+                                       const profiler::CostProvider& costs,
+                                       const graph::GraphDef& training_graph,
+                                       const strategy::Grouping& grouping,
+                                       const strategy::StrategyMap& strategy,
+                                       const PlanEvalOptions& options, SimWorkspace& ws) {
+  static constexpr sched::OrderPolicy kCandidates[] = {
+      sched::OrderPolicy::kRankPriority, sched::OrderPolicy::kPlainRanks,
+      sched::OrderPolicy::kFifo};
+  const std::span<const sched::OrderPolicy> candidates =
+      options.policy == sched::OrderPolicy::kFifo
+          ? std::span<const sched::OrderPolicy>(kCandidates).last(1)
+          : std::span<const sched::OrderPolicy>(kCandidates);
+  const compile::CompileResult compiled =
+      compiler.compile(training_graph, grouping, strategy);
+  const compile::DistGraph& graph = compiled.graph;
+  const auto topo = graph.topological_order();
+  SimOptions sim_options;
+  sim_options.usable_memory_fraction = options.usable_memory_fraction;
+
+  PlanEvaluation eval;
+  SimResult single;
+  std::vector<double> plain_ranks;  // the critical path is their maximum
+  bind(ws, graph);
+  for (const sched::OrderPolicy candidate : candidates) {
+    std::vector<double> priorities = sched::priorities(graph, topo, candidate);
+    sim_options.policy = candidate;
+    SimResult result = run_core(ws.graph, priorities, sim_options, ws);
+    if (candidate == sched::OrderPolicy::kPlainRanks) plain_ranks = std::move(priorities);
+    if (candidate == candidates.front() || result.makespan_ms < single.makespan_ms) {
+      single = std::move(result);
+      eval.order = candidate;
+    }
+  }
+  ws.graph = CompactGraph{};  // the graph dies with this call
+  apply_oom_check(single, costs.cluster(), options.usable_memory_fraction);
+
+  eval.cold_iteration_ms = single.makespan_ms;
+  eval.per_iteration_ms = single.makespan_ms;
+  eval.computation_ms = single.computation_time_ms;
+  eval.communication_ms = single.communication_time_ms;
+  eval.oom = single.oom;
+  eval.peak_memory_bytes = std::move(single.peak_memory_bytes);
+  eval.oom_devices = std::move(single.oom_devices);
+  if (options.collect_utilization) {
+    if (plain_ranks.empty()) {
+      plain_ranks = sched::priorities(graph, topo, sched::OrderPolicy::kPlainRanks);
+    }
+    collect_utilization(graph, single, plain_ranks, eval);
+  }
+  return eval;
+}
+
+
 }  // namespace
 
 std::shared_ptr<const PlanEvalScratch::Unrolled> PlanEvalScratch::unrolled(
@@ -119,77 +191,13 @@ PlanEvaluation evaluate_plan(const profiler::CostProvider& costs,
   compiler_options.emit_node_names = false;
   compiler_options.validate_output = false;  // asserted structure, not results
   const compile::GraphCompiler compiler(costs, compiler_options);
+  // The thread's workspace serves every run below (zero allocations after
+  // warm-up).
+  SimWorkspace& ws = thread_workspace();
 
-  // One simulation entry point: builds the flat CompactGraph once per
-  // distinct graph and reuses the per-thread workspace across the candidate
-  // runs (zero allocations after warm-up).
-  const compile::DistGraph* built_for = nullptr;
-  auto simulate = [&](const compile::DistGraph& graph,
-                      const std::vector<double>& priorities,
-                      const SimOptions& sim_opts) -> SimResult {
-    SimWorkspace& ws = thread_workspace();
-    if (built_for != &graph) {
-      validate_for_simulation(graph);
-      ws.graph.build(graph);
-      built_for = &graph;
-    }
-    return run_core(ws.graph, priorities, sim_opts, ws);
-  };
-
-  // Single iteration: memory + breakdown + cold makespan.
-  //
-  // For HeteroG's order policy the Scheduler is simulator-driven: it tries
-  // the resource-chained ranks, the plain upward ranks and the FIFO order on
-  // the compiled graph and enforces whichever finishes first (list
-  // scheduling has no universally dominant priority rule; simulating the
-  // candidates is exactly what the paper's Scheduler/Simulator pair is for).
-  // Each candidate runs once with memory tracking, which never changes the
-  // dispatch order; a later one wins only on a strictly smaller makespan. A
-  // FIFO request tries FIFO alone.
-  static constexpr sched::OrderPolicy kCandidates[] = {
-      sched::OrderPolicy::kRankPriority, sched::OrderPolicy::kPlainRanks,
-      sched::OrderPolicy::kFifo};
-  const std::span<const sched::OrderPolicy> candidates =
-      options.policy == sched::OrderPolicy::kFifo
-          ? std::span<const sched::OrderPolicy>(kCandidates).last(1)
-          : std::span<const sched::OrderPolicy>(kCandidates);
-  const auto compiled = compiler.compile(training_graph, grouping, strategy);
-  const auto topo = compiled.graph.topological_order();
-  SimOptions sim_options;
-  sim_options.usable_memory_fraction = options.usable_memory_fraction;
-
-  PlanEvaluation eval;
-  SimResult single;
-  std::vector<double> plain_ranks;  // the critical path is their maximum
-  for (const sched::OrderPolicy candidate : candidates) {
-    std::vector<double> priorities = sched::priorities(compiled.graph, topo, candidate);
-    sim_options.policy = candidate;
-    SimResult result = simulate(compiled.graph, priorities, sim_options);
-    if (candidate == sched::OrderPolicy::kPlainRanks) plain_ranks = std::move(priorities);
-    if (candidate == candidates.front() || result.makespan_ms < single.makespan_ms) {
-      single = std::move(result);
-      eval.order = candidate;
-    }
-  }
-  apply_oom_check(single, costs.cluster(), options.usable_memory_fraction);
-
-  eval.cold_iteration_ms = single.makespan_ms;
-  eval.computation_ms = single.computation_time_ms;
-  eval.communication_ms = single.communication_time_ms;
-  eval.oom = single.oom;
-  eval.peak_memory_bytes = single.peak_memory_bytes;
-  eval.oom_devices = single.oom_devices;
-  if (options.collect_utilization) {
-    if (plain_ranks.empty()) {
-      plain_ranks =
-          sched::priorities(compiled.graph, topo, sched::OrderPolicy::kPlainRanks);
-    }
-    collect_utilization(compiled.graph, single, plain_ranks, eval);
-  }
-
-  if (options.unroll_iterations == 1 ||
-      (options.skip_unroll_on_oom && eval.oom)) {
-    eval.per_iteration_ms = single.makespan_ms;
+  PlanEvaluation eval = evaluate_cold_iteration(compiler, costs, training_graph,
+                                                grouping, strategy, options, ws);
+  if (options.unroll_iterations == 1 || (options.skip_unroll_on_oom && eval.oom)) {
     return eval;
   }
 
@@ -206,22 +214,24 @@ PlanEvaluation evaluate_plan(const profiler::CostProvider& costs,
         strategy::Grouping::unroll(grouping, options.unroll_iterations)});
   }
   const PlanEvalScratch::Unrolled& unrolled = scratch != nullptr ? *cached : *local;
-  const auto unrolled_compiled =
+  const compile::CompileResult steady =
       compiler.compile(unrolled.graph, unrolled.grouping, strategy);
+  SimOptions sim_options;
   sim_options.policy = eval.order;
   sim_options.track_memory = false;
-  const double t_k =
-      simulate(unrolled_compiled.graph,
-               sched::priorities(unrolled_compiled.graph,
-                                 unrolled_compiled.graph.topological_order(), eval.order),
-               sim_options)
-          .makespan_ms;
+  sim_options.usable_memory_fraction = options.usable_memory_fraction;
+  const std::vector<double> priorities =
+      sched::priorities(steady.graph, steady.graph.topological_order(), eval.order);
+  bind(ws, steady.graph);
+  const double t_k = run_core(ws.graph, priorities, sim_options, ws).makespan_ms;
+  ws.graph = CompactGraph{};
+  const double cold_ms = eval.cold_iteration_ms;
   eval.per_iteration_ms =
-      (t_k - single.makespan_ms) / static_cast<double>(options.unroll_iterations - 1);
+      (t_k - cold_ms) / static_cast<double>(options.unroll_iterations - 1);
   // Guard against degenerate overlap estimates (per-iteration time can never
   // exceed the cold makespan nor be non-positive).
-  if (eval.per_iteration_ms <= 0.0 || eval.per_iteration_ms > single.makespan_ms) {
-    eval.per_iteration_ms = single.makespan_ms;
+  if (eval.per_iteration_ms <= 0.0 || eval.per_iteration_ms > cold_ms) {
+    eval.per_iteration_ms = cold_ms;
   }
   return eval;
 }

@@ -8,9 +8,6 @@ namespace heterog::sim {
 
 namespace {
 
-using compile::DistNodeId;
-using compile::NodeKind;
-
 void mem_alloc_output(const CompactGraph& g, SimWorkspace& ws, SimResult& result,
                       int32_t v) {
   const int64_t bytes = g.output_bytes[static_cast<size_t>(v)];
@@ -77,12 +74,11 @@ void finish_result(const CompactGraph& g, const SimOptions& options, SimResult& 
                    double now, int completed) {
   check(completed == g.n, "simulation deadlocked (cycle or unreachable node)");
   result.makespan_ms = now;
-  for (int32_t res = 0; res < g.r; ++res) {
-    const double t = result.resource_busy_ms[static_cast<size_t>(res)];
-    if (res < g.device_count) {  // ResourceModel::is_gpu_resource
-      result.computation_time_ms = std::max(result.computation_time_ms, t);
+  for (const ResourceBusy& busy : result.resource_busy) {
+    if (busy.resource < g.device_count) {  // ResourceModel::is_gpu_resource
+      result.computation_time_ms = std::max(result.computation_time_ms, busy.busy_ms);
     } else {
-      result.communication_time_ms = std::max(result.communication_time_ms, t);
+      result.communication_time_ms = std::max(result.communication_time_ms, busy.busy_ms);
     }
   }
   if (!options.track_memory) {
@@ -91,7 +87,10 @@ void finish_result(const CompactGraph& g, const SimOptions& options, SimResult& 
 }
 
 void reset_workspace(const CompactGraph& g, SimWorkspace& ws, SimResult& result) {
-  result.resource_busy_ms.assign(static_cast<size_t>(g.r), 0.0);
+  result.resource_busy.resize(static_cast<size_t>(g.r));
+  for (int32_t res = 0; res < g.r; ++res) {
+    result.resource_busy[static_cast<size_t>(res)] = {g.used_resources[res], 0.0};
+  }
   result.start_ms.assign(static_cast<size_t>(g.n), 0.0);
   result.finish_ms.assign(static_cast<size_t>(g.n), 0.0);
   if (ws.ready.size() < static_cast<size_t>(g.r)) ws.ready.resize(static_cast<size_t>(g.r));
@@ -116,7 +115,6 @@ SimResult run_impl(const CompactGraph& g, const std::vector<double>& priorities,
                    const SimOptions& options, SimWorkspace& ws) {
   SimResult result;
   if (g.n == 0) {
-    result.resource_busy_ms.assign(static_cast<size_t>(g.r), 0.0);
     result.peak_memory_bytes.assign(static_cast<size_t>(g.device_count), 0);
     return result;
   }
@@ -159,7 +157,7 @@ SimResult run_impl(const CompactGraph& g, const std::vector<double>& priorities,
       for (int32_t k = g.res_begin(entry.node); k < g.res_end(entry.node); ++k) {
         const int32_t nr = g.res_dat[static_cast<size_t>(k)];
         ws.busy[static_cast<size_t>(nr)] = 1;
-        result.resource_busy_ms[static_cast<size_t>(nr)] += duration;
+        result.resource_busy[static_cast<size_t>(nr)].busy_ms += duration;
       }
       result.start_ms[static_cast<size_t>(entry.node)] = time;
       result.finish_ms[static_cast<size_t>(entry.node)] = time + duration;
@@ -170,16 +168,18 @@ SimResult run_impl(const CompactGraph& g, const std::vector<double>& priorities,
   };
 
   // Visit only resources freed or pushed to since the last pass, in ascending
-  // index order — equivalent to the reference's full 0..R-1 scan because
-  // every other resource is busy or has an empty queue (after a pass each
-  // resource is busy-or-empty; only a completion free or a ready push can
-  // break that, and both mark the resource dirty). Migration pushes during
-  // the pass target the blocking (busy) resource, so entries appended past
-  // the snapshot would be no-ops; they are re-marked when that resource
-  // frees, and can be dropped here.
+  // dense order — equivalent to the reference's full scan of every
+  // ResourceModel id because dense ids keep that order, no node ever queues
+  // on a resource the graph does not use, and every other resource is busy
+  // or has an empty queue (after a pass each resource is busy-or-empty;
+  // only a completion free or a ready push can break that, and both mark
+  // the resource dirty). Migration pushes during the pass target the
+  // blocking (busy) resource, so entries appended past the snapshot would be
+  // no-ops; they are re-marked when that resource frees, and can be dropped
+  // here.
   auto dispatch_all = [&](double time) {
     auto& d = ws.dirty;
-    // Ascending order matches the reference's 0..R-1 scan. The dirty set is
+    // Ascending order matches the reference's full scan. The dirty set is
     // tiny (the resources freed/pushed since the last pass) and this runs
     // once per event batch, so an inline insertion sort beats std::sort's
     // call overhead.
@@ -230,65 +230,21 @@ SimResult run_impl(const CompactGraph& g, const std::vector<double>& priorities,
 }  // namespace
 
 void CompactGraph::build(const compile::DistGraph& graph) {
-  const compile::ResourceModel& resources = graph.resources();
   n = graph.node_count();
-  r = resources.resource_count();
-  device_count = resources.device_count();
-
-  const auto sn = static_cast<size_t>(n);
-  duration.resize(sn);
-  output_bytes.resize(sn);
-  queue_res.resize(sn);
-  res_off.resize(sn + 1);
-  succ_off.resize(sn + 1);
-  pred_off.resize(sn + 1);
-  mem_off.resize(sn + 1);
-  res_dat.clear();
-  succ_dat.clear();
-  pred_dat.clear();
-  mem_dat.clear();
-
-  std::vector<int> scratch;
-  scratch.reserve(4);
-  for (DistNodeId id = 0; id < n; ++id) {
-    const auto sv = static_cast<size_t>(id);
-    const compile::DistNode& node = graph.node(id);
-    duration[sv] = node.duration_ms;
-    output_bytes[sv] = node.output_bytes;
-    queue_res[sv] = resources.resource_of(node);
-
-    res_off[sv] = static_cast<int32_t>(res_dat.size());
-    resources.resources_of(node, scratch);
-    res_dat.insert(res_dat.end(), scratch.begin(), scratch.end());
-
-    succ_off[sv] = static_cast<int32_t>(succ_dat.size());
-    const auto& succ = graph.successors(id);
-    succ_dat.insert(succ_dat.end(), succ.begin(), succ.end());
-
-    pred_off[sv] = static_cast<int32_t>(pred_dat.size());
-    const auto& pred = graph.predecessors(id);
-    pred_dat.insert(pred_dat.end(), pred.begin(), pred.end());
-
-    mem_off[sv] = static_cast<int32_t>(mem_dat.size());
-    if (node.output_bytes > 0) {
-      switch (node.kind) {
-        case NodeKind::kCompute:
-          mem_dat.push_back(node.device);
-          break;
-        case NodeKind::kTransfer:
-          mem_dat.push_back(node.link_to);
-          break;
-        case NodeKind::kCollective:
-          mem_dat.insert(mem_dat.end(), node.participants.begin(),
-                         node.participants.end());
-          break;
-      }
-    }
-  }
-  res_off[sn] = static_cast<int32_t>(res_dat.size());
-  succ_off[sn] = static_cast<int32_t>(succ_dat.size());
-  pred_off[sn] = static_cast<int32_t>(pred_dat.size());
-  mem_off[sn] = static_cast<int32_t>(mem_dat.size());
+  r = graph.used_resource_count();
+  device_count = graph.resources().device_count();
+  duration = graph.durations().data();
+  output_bytes = graph.output_sizes().data();
+  queue_res = graph.queue_resources().data();
+  res_off = graph.resource_rows().off.data();
+  res_dat = graph.resource_rows().dat.data();
+  succ_off = graph.successor_rows().off.data();
+  succ_dat = graph.successor_rows().dat.data();
+  pred_off = graph.predecessor_rows().off.data();
+  pred_dat = graph.predecessor_rows().dat.data();
+  mem_off = graph.memory_rows().off.data();
+  mem_dat = graph.memory_rows().dat.data();
+  used_resources = graph.used_resources().data();
   static_params = graph.static_param_bytes();
 }
 

@@ -3,12 +3,14 @@
 // The original simulator (kept test-side as the differential oracle,
 // tests/reference_sim.h) allocates per run: a vector<vector<int>> of
 // resource sets, one std::priority_queue per resource, and a per-device
-// memory tracker. This core replaces all of that with flat
-// structure-of-arrays state over the DistNodeId / resource index spaces:
+// memory tracker, over all D + D^2 + 1 + 2H ResourceModel ids. This core
+// runs over flat state instead:
 //
-//   * CompactGraph — a string-free SoA snapshot of a DistGraph (durations,
-//     output bytes, CSR adjacency, CSR resource sets, CSR memory targets);
-//   * SimWorkspace — every per-run buffer, reused across runs so repeated
+//   * CompactGraph — a view of a finalized DistGraph's arrays (durations,
+//     output bytes, adjacency rows, dense resource sets, memory targets);
+//     binding it copies nothing;
+//   * SimWorkspace — every per-run buffer, sized by the graph's nodes and
+//     the resources it uses, and reused across runs so repeated
 //     simulate_iteration_ms / evaluate_plan calls in one search allocate
 //     nothing once warm;
 //   * run_core — one from-scratch discrete-event run, bit-identical to the
@@ -20,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "compile/dist_graph.h"
@@ -28,33 +31,35 @@
 
 namespace heterog::sim {
 
-/// String-free structure-of-arrays snapshot of a DistGraph, addressed by
-/// DistNodeId. Cheap to copy (flat vectors only); rebuilt in place without
-/// allocating once capacity is warm.
+/// The simulator's view of a finalized DistGraph, addressed by DistNodeId
+/// and by dense resource id (DistGraph::used_resources). build() binds it to
+/// the graph's arrays; the graph must outlive every run over the view.
 struct CompactGraph {
   int32_t n = 0;             // node count
-  int32_t r = 0;             // resource count
+  int32_t r = 0;             // resources the graph uses
   int32_t device_count = 0;
 
-  std::vector<double> duration;        // per node
-  std::vector<int64_t> output_bytes;   // per node
-  std::vector<int32_t> queue_res;      // resource a node queues on
+  const double* duration = nullptr;       // per node
+  const int64_t* output_bytes = nullptr;  // per node
+  const int32_t* queue_res = nullptr;     // dense resource a node queues on
 
-  // CSR resource sets (ResourceModel::resources_of, order preserved — the
-  // first busy resource in set order decides where a blocked node migrates).
-  std::vector<int32_t> res_off;  // n + 1
-  std::vector<int32_t> res_dat;
+  // Dense resource sets, order preserved (the first busy resource in set
+  // order decides where a blocked node migrates).
+  const int32_t* res_off = nullptr;  // n + 1
+  const int32_t* res_dat = nullptr;
 
-  // CSR adjacency.
-  std::vector<int32_t> succ_off, succ_dat;  // succ_off: n + 1
-  std::vector<int32_t> pred_off, pred_dat;  // pred_off: n + 1
+  const int32_t* succ_off = nullptr;  // n + 1
+  const int32_t* succ_dat = nullptr;
+  const int32_t* pred_off = nullptr;  // n + 1
+  const int32_t* pred_dat = nullptr;
 
-  // CSR memory targets: the devices a node's output occupies while live
-  // (compute: its device; transfer: link_to; collective: every participant).
-  // Empty span when output_bytes <= 0.
-  std::vector<int32_t> mem_off, mem_dat;  // mem_off: n + 1
+  // The devices a node's output occupies while live; empty rows when
+  // output_bytes <= 0.
+  const int32_t* mem_off = nullptr;  // n + 1
+  const int32_t* mem_dat = nullptr;
 
-  std::vector<int64_t> static_params;  // per device; may be shorter than device_count
+  const int32_t* used_resources = nullptr;  // r ResourceModel ids, ascending
+  std::span<const int64_t> static_params;   // per device; may be short
 
   void build(const compile::DistGraph& graph);
 
@@ -67,7 +72,7 @@ struct CompactGraph {
 /// thread-safe; use one workspace per thread (Simulator keeps one per thread
 /// internally).
 struct SimWorkspace {
-  CompactGraph graph;  // snapshot of the graph being simulated
+  CompactGraph graph;  // view of the graph being simulated
 
   std::vector<std::vector<ReadyEntry>> ready;  // per-resource binary heaps
   std::vector<Event> events;                   // min-heap on (time, node)
@@ -75,9 +80,9 @@ struct SimWorkspace {
   std::vector<int32_t> in_degree;              // per node
 
   // Dispatch worklist: resources touched (freed or pushed to) since the last
-  // dispatch pass. Avoids scanning all R resources per event batch; sorted
+  // dispatch pass. Avoids scanning every resource per event batch; sorted
   // ascending before each pass so the visit order matches the reference
-  // simulator's full 0..R-1 scan (see dispatch_all in sim_core.cpp).
+  // simulator's full scan (see dispatch_all in sim_core.cpp).
   std::vector<int32_t> dirty;
   std::vector<uint8_t> in_dirty;               // per resource: in `dirty`
 

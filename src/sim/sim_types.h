@@ -18,6 +18,12 @@ struct SimOptions {
   double usable_memory_fraction = 0.92;
 };
 
+/// Busy time of one resource a simulated graph occupies.
+struct ResourceBusy {
+  int resource = -1;  // ResourceModel id
+  double busy_ms = 0.0;
+};
+
 struct SimResult {
   double makespan_ms = 0.0;
 
@@ -27,8 +33,9 @@ struct SimResult {
   double computation_time_ms = 0.0;
   double communication_time_ms = 0.0;
 
-  /// Total busy ms per resource (indexed by ResourceModel).
-  std::vector<double> resource_busy_ms;
+  /// Total busy ms of every resource the graph's nodes occupy, in ascending
+  /// ResourceModel id order (compile::DistGraph::used_resources).
+  std::vector<ResourceBusy> resource_busy;
 
   /// Peak memory per device, static parameters included.
   std::vector<int64_t> peak_memory_bytes;

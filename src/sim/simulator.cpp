@@ -8,31 +8,12 @@
 
 namespace heterog::sim {
 
-using compile::NodeKind;
-
 void validate_for_simulation(const compile::DistGraph& graph,
                              const std::vector<double>* priorities) {
-  const int devices = graph.resources().device_count();
-  for (const auto& node : graph.nodes()) {
-    check(std::isfinite(node.duration_ms) && node.duration_ms >= 0.0,
+  check(graph.finalized(), "simulator: graph is not finalized");
+  for (const double duration : graph.durations()) {
+    check(std::isfinite(duration) && duration >= 0.0,
           "simulator: node duration must be finite and non-negative");
-    switch (node.kind) {
-      case NodeKind::kCompute:
-        check(node.device >= 0 && node.device < devices,
-              "simulator: compute node device out of range");
-        break;
-      case NodeKind::kTransfer:
-        check(node.link_from >= 0 && node.link_from < devices &&
-                  node.link_to >= 0 && node.link_to < devices,
-              "simulator: transfer node link endpoint out of range");
-        break;
-      case NodeKind::kCollective:
-        for (const auto d : node.participants) {
-          check(d >= 0 && d < devices,
-                "simulator: collective participant out of range");
-        }
-        break;
-    }
   }
   if (priorities != nullptr) {
     check(static_cast<int>(priorities->size()) == graph.node_count(),

@@ -45,12 +45,12 @@ class Simulator {
   SimOptions options_;
 };
 
-/// Rejects graphs the simulator cannot execute safely: NaN/negative
-/// durations, out-of-range devices/links, collective participants outside
-/// the device range (DistGraph::add_node does not range-check participants),
-/// and non-finite priorities (a NaN priority breaks the ready queues' strict
-/// total order — see sim_order.h). Throws CheckError; called by every
-/// Simulator entry point, exercised by tests/serialize_fuzz_test.cpp.
+/// Rejects graphs the simulator cannot execute safely: a graph that is not
+/// finalized (finalize() range-checks devices, links and participants),
+/// NaN/infinite/negative durations (DistGraph::with_durations does not
+/// check them), and NaN priorities (a NaN priority breaks the ready queues'
+/// strict total order — see sim_order.h). Throws CheckError; called by
+/// every Simulator entry point, exercised by tests/serialize_fuzz_test.cpp.
 void validate_for_simulation(const compile::DistGraph& graph,
                              const std::vector<double>* priorities = nullptr);
 

@@ -73,7 +73,7 @@ std::string chrome_trace_json(const compile::DistGraph& graph, const SimResult& 
   }
 
   for (compile::DistNodeId id = 0; id < graph.node_count(); ++id) {
-    const auto& node = graph.node(id);
+    const compile::DistNode node = graph.node(id);
     const int resource = resources.resource_of(node);
     const double start_us = result.start_ms[static_cast<size_t>(id)] * 1000.0;
     const double dur_us =
@@ -109,16 +109,18 @@ std::string ascii_timeline(const compile::DistGraph& graph, const SimResult& res
   os << "timeline: " << result.makespan_ms << " ms total, one column ~ "
      << per_column << " ms\n";
 
+  const std::vector<int32_t>& used = graph.used_resources();
+  const std::vector<int32_t>& queue = graph.queue_resources();
   auto render_row = [&](int resource, const std::string& label) {
     std::string row(static_cast<size_t>(options.width), '.');
     bool any = false;
     for (compile::DistNodeId id = 0; id < graph.node_count(); ++id) {
-      const auto& node = graph.node(id);
-      if (resources.resource_of(node) != resource) continue;
+      if (used[static_cast<size_t>(queue[static_cast<size_t>(id)])] != resource) continue;
       any = true;
-      const char glyph = node.kind == compile::NodeKind::kCompute
+      const compile::NodeKind kind = graph.kind(id);
+      const char glyph = kind == compile::NodeKind::kCompute
                              ? '#'
-                             : (node.kind == compile::NodeKind::kTransfer ? '=' : '*');
+                             : (kind == compile::NodeKind::kTransfer ? '=' : '*');
       int begin = static_cast<int>(result.start_ms[static_cast<size_t>(id)] / per_column);
       int end = static_cast<int>(
           std::ceil(result.finish_ms[static_cast<size_t>(id)] / per_column));

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "compile/collective.h"
 #include "test_util.h"
@@ -20,9 +21,16 @@ class CompileTest : public ::testing::Test {
   graph::GraphDef train_ = heterog::testing::make_toy_training_graph();
 };
 
+/// Every node of `graph`, assembled, in id order.
+std::vector<DistNode> nodes(const DistGraph& graph) {
+  std::vector<DistNode> out;
+  for (DistNodeId id = 0; id < graph.node_count(); ++id) out.push_back(graph.node(id));
+  return out;
+}
+
 int count_kind(const DistGraph& g, NodeKind kind) {
   int n = 0;
-  for (const auto& node : g.nodes()) {
+  for (const auto& node : nodes(g)) {
     if (node.kind == kind) ++n;
   }
   return n;
@@ -30,7 +38,7 @@ int count_kind(const DistGraph& g, NodeKind kind) {
 
 TEST_F(CompileTest, MpPlacesEverythingOnOneDevice) {
   const auto result = rig_.compile_uniform(train_, Action::mp(3));
-  for (const auto& node : result.graph.nodes()) {
+  for (const auto& node : nodes(result.graph)) {
     if (node.kind == NodeKind::kCompute) {
       EXPECT_EQ(node.device, 3);
     }
@@ -81,14 +89,14 @@ TEST_F(CompileTest, FusionEnabledMergesGradientsIntoBuckets) {
     }
   }
   EXPECT_EQ(count_kind(result.graph, NodeKind::kCollective), 1);
-  for (const auto& node : result.graph.nodes()) {
+  for (const auto& node : nodes(result.graph)) {
     if (node.kind == NodeKind::kCollective) {
       EXPECT_EQ(node.output_bytes, param_bytes);
     }
   }
   // Apply still runs per parameter op on every device after the collective.
   int applies = 0;
-  for (const auto& node : result.graph.nodes()) {
+  for (const auto& node : nodes(result.graph)) {
     if (node.role == graph::OpRole::kApply) ++applies;
   }
   EXPECT_EQ(applies, param_ops * 8);
@@ -148,7 +156,7 @@ TEST_F(CompileTest, ProportionalPutsMoreReplicasOnFasterDevices) {
   const auto result = rig_.compile_uniform(
       train_, Action::dp(ReplicationMode::kProportional, CommMethod::kAllReduce));
   std::map<cluster::DeviceId, int> replica_count;
-  for (const auto& node : result.graph.nodes()) {
+  for (const auto& node : nodes(result.graph)) {
     if (node.kind == NodeKind::kCompute && node.origin == 1 /* conv1 */) {
       ++replica_count[node.device];
     }
@@ -208,7 +216,7 @@ TEST_F(CompileTest, TransferDurationsMatchCostModelPlusRpcOverhead) {
   const auto result =
       rig_.compile_uniform(train_, Action::dp(ReplicationMode::kEven, CommMethod::kPS));
   const double rpc = compile::CompilerOptions().ps_rpc_overhead_ms;
-  for (const auto& node : result.graph.nodes()) {
+  for (const auto& node : nodes(result.graph)) {
     if (node.kind != NodeKind::kTransfer) continue;
     const double base =
         rig_.costs->transfer_time_ms(node.output_bytes, node.link_from, node.link_to);

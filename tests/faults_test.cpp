@@ -238,6 +238,7 @@ TEST(FaultScaling, StragglerScalesComputeDurations) {
   DistGraph g(cluster4);
   add_compute(g, "a", 0, 2.0);
   add_compute(g, "b", 1, 2.0);
+  g.finalize();
 
   FaultPlan plan;
   plan.events = {straggler(0, 3.0, 0)};
@@ -253,6 +254,7 @@ TEST(FaultScaling, LinkDegradationScalesCrossHostTransfers) {
   DistGraph g(cluster4);
   add_transfer(g, "cross", 0, 2, 4.0);
   add_transfer(g, "intra", 0, 1, 4.0);
+  g.finalize();
 
   FaultPlan plan;
   plan.events = {link_degradation(0, 2, 0.25, 0)};
@@ -511,6 +513,7 @@ TEST(FaultSim, ReportsPerStepMakespans) {
   DistGraph g(cluster4);
   add_compute(g, "a", 0, 2.0);
   add_compute(g, "b", 1, 2.0);
+  g.finalize();
 
   FaultPlan plan;
   plan.events = {straggler(0, 3.0, 1, 3)};
@@ -538,6 +541,7 @@ TEST(FaultSim, DeviceFailureMarksStepInexecutable) {
   DistGraph g(cluster4);
   add_compute(g, "a", 0, 2.0);
   add_compute(g, "b", 1, 2.0);
+  g.finalize();
 
   FaultPlan plan;
   plan.events = {device_failure(1, 2)};
@@ -560,6 +564,7 @@ TEST(FaultSim, FailureOfUnusedDeviceDoesNotStopExecution) {
   const auto cluster4 = cluster::make_fig3_testbed();
   DistGraph g(cluster4);
   add_compute(g, "a", 0, 2.0);  // device 3 untouched by the plan
+  g.finalize();
 
   FaultPlan plan;
   plan.events = {device_failure(3, 1)};

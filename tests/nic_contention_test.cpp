@@ -41,6 +41,7 @@ TEST(NicContention, IncastSerialisesOnIngressNic) {
   DistGraph g = two_host_graph();
   add_transfer(g, 0, 2, 4.0);
   add_transfer(g, 1, 3, 4.0);
+  g.finalize();
   EXPECT_DOUBLE_EQ(simulate_iteration_ms(g), 8.0);
 }
 
@@ -48,6 +49,7 @@ TEST(NicContention, OutcastSerialisesOnEgressNic) {
   DistGraph g = two_host_graph();
   add_transfer(g, 0, 2, 3.0);
   add_transfer(g, 0, 3, 5.0);
+  g.finalize();
   EXPECT_DOUBLE_EQ(simulate_iteration_ms(g), 8.0);
 }
 
@@ -57,6 +59,7 @@ TEST(NicContention, FullDuplexFlowsOverlap) {
   DistGraph g = two_host_graph();
   add_transfer(g, 0, 2, 4.0);  // host0 egress, host1 ingress
   add_transfer(g, 3, 1, 4.0);  // host1 egress, host0 ingress
+  g.finalize();
   EXPECT_DOUBLE_EQ(simulate_iteration_ms(g), 4.0);
 }
 
@@ -65,6 +68,7 @@ TEST(NicContention, IntraHostTransfersBypassNics) {
   add_transfer(g, 0, 1, 4.0);  // intra host0
   add_transfer(g, 2, 3, 4.0);  // intra host1
   add_transfer(g, 0, 2, 4.0);  // the only NIC user
+  g.finalize();
   EXPECT_DOUBLE_EQ(simulate_iteration_ms(g), 4.0);
 }
 
@@ -80,6 +84,7 @@ TEST(NicContention, BlockedTransferYieldsToIndependentWork) {
   c.device = 3;
   c.duration_ms = 7.0;
   g.add_node(std::move(c));
+  g.finalize();
   const auto result = Simulator().run(g);
   EXPECT_DOUBLE_EQ(result.makespan_ms, 8.0);  // t1 0-6, t2 6-8; compute 0-7
 }
@@ -90,6 +95,7 @@ TEST(NicContention, LegacyGraphsWithoutTopologyHaveNoNics) {
   DistGraph g(4);
   add_transfer(g, 0, 2, 4.0);
   add_transfer(g, 1, 3, 4.0);
+  g.finalize();
   EXPECT_DOUBLE_EQ(simulate_iteration_ms(g), 4.0);
 }
 

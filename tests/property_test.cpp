@@ -60,8 +60,8 @@ TEST_P(StrategySweep, CompileAndSimulateInvariants) {
   EXPECT_GT(result.makespan_ms, 0.0);
 
   //    (a) makespan >= busiest resource (no resource can be overcommitted).
-  for (double busy : result.resource_busy_ms) {
-    EXPECT_GE(result.makespan_ms + 1e-9, busy);
+  for (const auto& busy : result.resource_busy) {
+    EXPECT_GE(result.makespan_ms + 1e-9, busy.busy_ms);
   }
   //    (b) makespan >= critical path (max upward rank).
   const auto ranks = sched::compute_ranks(compiled.graph);
@@ -278,7 +278,7 @@ TEST(RandomScheduleInvariants, NoResourceOverlapAndMakespanBound) {
     double critical_path = 0.0;
     for (const double r : ranks) critical_path = std::max(critical_path, r);
     double busiest = 0.0;
-    for (const double b : result.resource_busy_ms) busiest = std::max(busiest, b);
+    for (const auto& b : result.resource_busy) busiest = std::max(busiest, b.busy_ms);
     const double lower_bound = std::max(critical_path, busiest);
     ASSERT_GT(lower_bound, 0.0);
     const double factor = static_cast<double>(devices) +

@@ -99,7 +99,7 @@ SimResult run_simulation(const DistGraph& graph, const std::vector<double>& prio
   const int r = resources.resource_count();
 
   SimResult result;
-  result.resource_busy_ms.assign(static_cast<size_t>(r), 0.0);
+  std::vector<double> resource_busy_ms(static_cast<size_t>(r), 0.0);
   result.start_ms.assign(static_cast<size_t>(n), 0.0);
   result.finish_ms.assign(static_cast<size_t>(n), 0.0);
 
@@ -182,10 +182,10 @@ SimResult run_simulation(const DistGraph& graph, const std::vector<double>& prio
         push_on(blocking, entry.node, entry.sequence, entry.priority);
         continue;
       }
-      const double duration = graph.node(entry.node).duration_ms;
+      const double duration = graph.duration_ms(entry.node);
       for (int nr : needed) {
         busy[static_cast<size_t>(nr)] = true;
-        result.resource_busy_ms[static_cast<size_t>(nr)] += duration;
+        resource_busy_ms[static_cast<size_t>(nr)] += duration;
       }
       result.start_ms[static_cast<size_t>(entry.node)] = time;
       result.finish_ms[static_cast<size_t>(entry.node)] = time + duration;
@@ -242,11 +242,21 @@ SimResult run_simulation(const DistGraph& graph, const std::vector<double>& prio
   result.makespan_ms = now;
 
   for (int res = 0; res < r; ++res) {
-    const double t = result.resource_busy_ms[static_cast<size_t>(res)];
+    const double t = resource_busy_ms[static_cast<size_t>(res)];
     if (resources.is_gpu_resource(res)) {
       result.computation_time_ms = std::max(result.computation_time_ms, t);
     } else {
       result.communication_time_ms = std::max(result.communication_time_ms, t);
+    }
+  }
+  // Reported for the resources some node occupies, ascending.
+  std::vector<bool> occupied(static_cast<size_t>(r), false);
+  for (const auto& set : node_resources) {
+    for (const int res : set) occupied[static_cast<size_t>(res)] = true;
+  }
+  for (int res = 0; res < r; ++res) {
+    if (occupied[static_cast<size_t>(res)]) {
+      result.resource_busy.push_back({res, resource_busy_ms[static_cast<size_t>(res)]});
     }
   }
 
@@ -306,7 +316,7 @@ std::vector<double> reference_rank_priorities(
     for (auto s : extra_succ[static_cast<size_t>(id)]) {
       max_succ = std::max(max_succ, ranks[static_cast<size_t>(s)]);
     }
-    const double updated = graph.node(id).duration_ms + max_succ;
+    const double updated = graph.duration_ms(id) + max_succ;
     const bool changed = updated > ranks[static_cast<size_t>(id)] + 1e-12;
     ranks[static_cast<size_t>(id)] = updated;
     return changed;

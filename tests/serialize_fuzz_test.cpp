@@ -400,13 +400,22 @@ TEST(Fuzz, ServerReplyDecodeNeverCrashes) {
 
 TEST(Fuzz, SimulatorDegenerateGraphShapes) {
   // Targeted shapes first: each either passes DistGraph::add_node and must
-  // be caught by validate_for_simulation, or completes harmlessly.
+  // be caught by DistGraph::finalize or validate_for_simulation, or
+  // completes harmlessly.
   using compile::DistGraph;
   using compile::DistNode;
   using compile::NodeKind;
 
-  auto run_both = [](const DistGraph& g) {
-    // Returns true when the graph was rejected; checks both agree.
+  auto run_both = [](DistGraph g) {
+    // Returns true when the graph was rejected; checks both agree. A shape
+    // finalize() rejects reaches neither simulator.
+    if (!g.finalized()) {
+      try {
+        g.finalize();
+      } catch (const CheckError&) {
+        return true;
+      }
+    }
     bool reference_rejected = false, data_rejected = false;
     double reference_ms = -1.0, data_ms = -1.0;
     try {
@@ -464,7 +473,7 @@ TEST(Fuzz, SimulatorDegenerateGraphShapes) {
   }
   {
     // Out-of-range collective participant passes add_node (documented) and
-    // must be rejected by validate_for_simulation in both impls.
+    // must be rejected before either simulator runs.
     DistGraph g(2);
     DistNode c;
     c.kind = NodeKind::kCollective;
@@ -485,7 +494,7 @@ TEST(Fuzz, SimulatorDegenerateGraphShapes) {
     EXPECT_TRUE(run_both(g));
   }
   {
-    // NaN / negative durations smuggled in through mutable_node.
+    // NaN / negative durations smuggled in through with_durations.
     for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
       DistGraph g(2);
       DistNode a;
@@ -493,8 +502,10 @@ TEST(Fuzz, SimulatorDegenerateGraphShapes) {
       a.device = 0;
       a.duration_ms = 1.0;
       const auto id = g.add_node(a);
-      g.mutable_node(id).duration_ms = bad;
-      EXPECT_TRUE(run_both(g));
+      g.finalize();
+      std::vector<double> durations = g.durations();
+      durations[static_cast<size_t>(id)] = bad;
+      EXPECT_TRUE(run_both(g.with_durations(std::move(durations))));
     }
   }
 
@@ -543,8 +554,17 @@ TEST(Fuzz, SimulatorDegenerateGraphShapes) {
       }
     }
     if (g.node_count() > 0 && rng.uniform_int(0, 3) == 0) {
-      g.mutable_node(rng.uniform_int(0, g.node_count() - 1)).duration_ms =
+      const double bad =
           rng.uniform_int(0, 1) == 0 ? std::numeric_limits<double>::quiet_NaN() : -0.5;
+      const int victim = rng.uniform_int(0, g.node_count() - 1);
+      try {
+        g.finalize();
+        std::vector<double> durations = g.durations();
+        durations[static_cast<size_t>(victim)] = bad;
+        g = g.with_durations(std::move(durations));
+      } catch (const CheckError&) {
+        // finalize() rejected the shape; run_both sees the rejection too.
+      }
     }
     SCOPED_TRACE("round " + std::to_string(round));
     run_both(g);

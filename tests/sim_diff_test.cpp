@@ -44,6 +44,18 @@ bool bytes_equal(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
+/// Same resources in the same order, with bitwise-equal busy times.
+bool busy_equal(const std::vector<sim::ResourceBusy>& a,
+                const std::vector<sim::ResourceBusy>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].resource != b[i].resource || !bytes_equal({a[i].busy_ms}, {b[i].busy_ms})) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Exact equality of every observable the simulator reports. Doubles are
 /// compared as raw bytes: "close" is a bug here, the two paths must execute
 /// the same arithmetic in the same order.
@@ -55,7 +67,7 @@ void expect_identical(const SimResult& oracle, const SimResult& candidate,
   EXPECT_TRUE(bytes_equal({oracle.computation_time_ms}, {candidate.computation_time_ms}));
   EXPECT_TRUE(
       bytes_equal({oracle.communication_time_ms}, {candidate.communication_time_ms}));
-  EXPECT_TRUE(bytes_equal(oracle.resource_busy_ms, candidate.resource_busy_ms));
+  EXPECT_TRUE(busy_equal(oracle.resource_busy, candidate.resource_busy));
   EXPECT_EQ(oracle.peak_memory_bytes, candidate.peak_memory_bytes);
   EXPECT_EQ(oracle.oom, candidate.oom);
   EXPECT_EQ(oracle.oom_devices, candidate.oom_devices);
@@ -276,9 +288,9 @@ TEST(SimDiffTest, FaultInjectorPathsAgree) {
         reference_run(sim::apply_fault_scaling(active, cluster, scaling), options);
     const auto& resources = active.resources();
     std::vector<double> oracle_busy(static_cast<size_t>(cluster.device_count()), 0.0);
-    for (int r = 0; r < static_cast<int>(oracle.resource_busy_ms.size()); ++r) {
+    for (const auto& [r, busy] : oracle.resource_busy) {
       if (resources.is_gpu_resource(r) && r < cluster.device_count()) {
-        oracle_busy[static_cast<size_t>(r)] = oracle.resource_busy_ms[static_cast<size_t>(r)];
+        oracle_busy[static_cast<size_t>(r)] = busy;
       }
     }
 

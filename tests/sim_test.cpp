@@ -8,7 +8,9 @@
 
 #include "common/check.h"
 
+#include "cluster/topology.h"
 #include "sched/scheduler.h"
+#include "sim/sim_core.h"
 #include "sim/sim_order.h"
 #include "sim/simulator.h"
 #include "reference_sim.h"
@@ -52,6 +54,7 @@ TEST(Simulator, ChainMakespanIsSumOfDurations) {
   const auto c = add_compute(g, "c", 0, 3.0);
   g.add_edge(a, b);
   g.add_edge(b, c);
+  g.finalize();
   EXPECT_DOUBLE_EQ(simulate_iteration_ms(g), 6.0);
 }
 
@@ -59,6 +62,7 @@ TEST(Simulator, IndependentOpsOnDifferentDevicesRunInParallel) {
   DistGraph g(2);
   add_compute(g, "a", 0, 5.0);
   add_compute(g, "b", 1, 3.0);
+  g.finalize();
   EXPECT_DOUBLE_EQ(simulate_iteration_ms(g), 5.0);
 }
 
@@ -66,6 +70,7 @@ TEST(Simulator, SameDeviceSerialises) {
   DistGraph g(2);
   add_compute(g, "a", 0, 5.0);
   add_compute(g, "b", 0, 3.0);
+  g.finalize();
   EXPECT_DOUBLE_EQ(simulate_iteration_ms(g), 8.0);
 }
 
@@ -78,6 +83,7 @@ TEST(Simulator, TransfersOverlapWithCompute) {
   add_compute(g, "c", 0, 5.0);
   g.add_edge(a, t);
   g.add_edge(t, b);
+  g.finalize();
   // dev0: a then c -> busy until 6. link: 1..5, b: 5..6. Makespan 6.
   EXPECT_DOUBLE_EQ(simulate_iteration_ms(g), 6.0);
 }
@@ -92,6 +98,7 @@ TEST(Simulator, CollectivesSerialiseOnNcclChannel) {
     n.duration_ms = 4.0;
     g.add_node(std::move(n));
   }
+  g.finalize();
   // Two independent collectives cannot overlap: 8 ms, not 4.
   EXPECT_DOUBLE_EQ(simulate_iteration_ms(g), 8.0);
 }
@@ -106,6 +113,7 @@ TEST(Simulator, RankPolicyPrefersCriticalPath) {
   const auto head = add_compute(g, "head", 0, 1.0);
   const auto tail = add_compute(g, "tail", 1, 10.0);
   g.add_edge(head, tail);
+  g.finalize();
 
   SimOptions rank_opts;
   rank_opts.policy = sched::OrderPolicy::kRankPriority;
@@ -127,6 +135,7 @@ TEST(Ranks, RankIsDurationPlusMaxSuccessor) {
   const auto c = add_compute(g, "c", 1, 7.0);
   g.add_edge(a, b);
   g.add_edge(a, c);
+  g.finalize();
   const auto ranks = sched::compute_ranks(g);
   EXPECT_DOUBLE_EQ(ranks[static_cast<size_t>(b)], 2.0);
   EXPECT_DOUBLE_EQ(ranks[static_cast<size_t>(c)], 7.0);
@@ -140,6 +149,7 @@ TEST(Simulator, MemoryPeakCountsLiveTensors) {
   const auto b = add_compute(g, "b", 0, 1.0, 30);
   g.add_edge(a, b);
   add_compute(g, "c", 0, 1.0, 50);
+  g.finalize();
   const auto result = Simulator().run(g);
   // Peak: while b runs, a's 100 + b's 30 live; c's 50 at some point. The
   // worst instant is a(100)+b(30)+possibly c(50) depending on order; at
@@ -152,6 +162,7 @@ TEST(Simulator, StaticParamsIncludedInPeak) {
   DistGraph g(1);
   g.add_static_param_bytes(0, 1000);
   add_compute(g, "a", 0, 1.0, 100);
+  g.finalize();
   const auto result = Simulator().run(g);
   EXPECT_EQ(result.peak_memory_bytes[0], 1100);
 }
@@ -163,6 +174,7 @@ TEST(Simulator, TransferAllocatesOnDestination) {
   const auto b = add_compute(g, "b", 1, 1.0, 0);
   g.add_edge(a, t);
   g.add_edge(t, b);
+  g.finalize();
   const auto result = Simulator().run(g);
   EXPECT_GE(result.peak_memory_bytes[1], 100);
 }
@@ -172,6 +184,7 @@ TEST(Simulator, OomCheckFlagsOverCapacity) {
   DistGraph g(8);
   // 1080Ti (device 2) has 11 GiB; allocate 12 GiB.
   add_compute(g, "big", 2, 1.0, 12LL << 30);
+  g.finalize();
   auto result = Simulator().run(g);
   apply_oom_check(result, c);
   EXPECT_TRUE(result.oom);
@@ -184,6 +197,7 @@ TEST(Simulator, ComputeAndCommBreakdownSeparated) {
   const auto a = add_compute(g, "a", 0, 3.0);
   const auto t = add_transfer(g, "t", 0, 1, 7.0);
   g.add_edge(a, t);
+  g.finalize();
   const auto result = Simulator().run(g);
   EXPECT_DOUBLE_EQ(result.computation_time_ms, 3.0);
   EXPECT_DOUBLE_EQ(result.communication_time_ms, 7.0);
@@ -195,6 +209,7 @@ TEST(Simulator, StartFinishTimesConsistent) {
   const auto a = add_compute(g, "a", 0, 2.0);
   const auto b = add_compute(g, "b", 1, 3.0);
   g.add_edge(a, b);
+  g.finalize();
   const auto result = Simulator().run(g);
   EXPECT_DOUBLE_EQ(result.start_ms[static_cast<size_t>(a)], 0.0);
   EXPECT_DOUBLE_EQ(result.finish_ms[static_cast<size_t>(a)], 2.0);
@@ -204,6 +219,7 @@ TEST(Simulator, StartFinishTimesConsistent) {
 
 TEST(Simulator, EmptyGraph) {
   DistGraph g(2);
+  g.finalize();
   EXPECT_DOUBLE_EQ(simulate_iteration_ms(g), 0.0);
 }
 
@@ -215,6 +231,7 @@ TEST(OptimalExhaustive, MatchesKnownOptimumAndBoundsListSchedule) {
   const auto a2 = add_compute(g, "a2", 1, 4.0);
   add_compute(g, "b1", 0, 4.0);
   g.add_edge(a1, a2);
+  g.finalize();
   const double optimal = optimal_makespan_exhaustive(g);
   const double ls = simulate_iteration_ms(g);
   // Optimal: a1 (0-1), b1 (1-5), a2 (1-5) -> 5.
@@ -225,7 +242,36 @@ TEST(OptimalExhaustive, MatchesKnownOptimumAndBoundsListSchedule) {
 TEST(OptimalExhaustive, RejectsLargeGraphs) {
   DistGraph g(1);
   for (int i = 0; i < 12; ++i) add_compute(g, "n", 0, 1.0);
+  g.finalize();
   EXPECT_THROW(optimal_makespan_exhaustive(g, 9), CheckError);
+}
+
+// A simulation's state is sized by the resources the graph occupies, not by
+// the cluster: the 1000-GPU preset has 1,001,201 ResourceModel ids, and a
+// two-node graph on it reports and buffers exactly its two GPUs.
+TEST(SimFootprint, TwoNodeGraphOnDc1000HoldsTwoResources) {
+  const auto dc1000 = cluster::generate_cluster(*cluster::topo_preset("dc1000"));
+  DistGraph g(dc1000);
+  const auto a = add_compute(g, "a", 0, 1.0, 64);
+  const auto b = add_compute(g, "b", 999, 2.0);
+  g.add_edge(a, b);
+  g.finalize();
+  ASSERT_EQ(g.resources().resource_count(), 1'001'201);
+
+  SimWorkspace ws;
+  ws.graph.build(g);
+  const auto priorities =
+      sched::priorities(g, g.topological_order(), sched::OrderPolicy::kRankPriority);
+  const SimResult result = run_core(ws.graph, priorities, SimOptions(), ws);
+  ASSERT_EQ(result.resource_busy.size(), 2u);
+  EXPECT_EQ(result.resource_busy[0].resource, g.resources().gpu_resource(0));
+  EXPECT_DOUBLE_EQ(result.resource_busy[0].busy_ms, 1.0);
+  EXPECT_EQ(result.resource_busy[1].resource, g.resources().gpu_resource(999));
+  EXPECT_DOUBLE_EQ(result.resource_busy[1].busy_ms, 2.0);
+  EXPECT_DOUBLE_EQ(result.makespan_ms, 3.0);
+  EXPECT_EQ(ws.ready.size(), 2u);
+  EXPECT_EQ(ws.busy.size(), 2u);
+  EXPECT_EQ(ws.in_dirty.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -312,6 +358,7 @@ TEST(SchedulingOrder, EqualTimeCompletionsScheduleIdenticallyOnBothImpls) {
   const auto d = add_compute(g, "d", 2, 1.0);
   g.add_edge(a, c);
   g.add_edge(b, d);
+  g.finalize();
 
   for (const auto policy : {sched::OrderPolicy::kRankPriority, sched::OrderPolicy::kFifo}) {
     SimOptions options;
@@ -337,6 +384,7 @@ TEST(SchedulingOrder, EqualTimeCompletionsScheduleIdenticallyOnBothImpls) {
 TEST(SchedulingOrder, NanPriorityRejected) {
   DistGraph g(1);
   add_compute(g, "a", 0, 1.0);
+  g.finalize();
   const std::vector<double> priorities{std::numeric_limits<double>::quiet_NaN()};
   EXPECT_THROW(heterog::testing::reference_run(g, priorities), CheckError);
   EXPECT_THROW(Simulator().run_with_priorities(g, priorities), CheckError);

@@ -302,8 +302,8 @@ TEST(TopoSched, InvariantSweepAt256Gpus) {
     const auto result = sim::Simulator().run(compiled.graph);
     EXPECT_GT(result.makespan_ms, 0.0);
     // No resource overcommitted; makespan covers the critical path.
-    for (double busy : result.resource_busy_ms) {
-      EXPECT_GE(result.makespan_ms + 1e-9, busy);
+    for (const auto& busy : result.resource_busy) {
+      EXPECT_GE(result.makespan_ms + 1e-9, busy.busy_ms);
     }
     const auto ranks = sched::compute_ranks(compiled.graph);
     double critical_path = 0.0;

@@ -53,6 +53,7 @@ TEST_F(TraceTest, ChromeTraceEscapesNames) {
   n.device = 0;
   n.duration_ms = 1.0;
   g.add_node(std::move(n));
+  g.finalize();
   const auto result = Simulator().run(g);
   const std::string json = chrome_trace_json(g, result);
   EXPECT_NE(json.find("weird\\\"name\\\\with\\nnewline"), std::string::npos);
@@ -101,6 +102,7 @@ TEST_F(TraceTest, RejectsMismatchedResult) {
   n.device = 0;
   n.duration_ms = 1.0;
   other.add_node(std::move(n));
+  other.finalize();
   EXPECT_THROW(chrome_trace_json(other, result), CheckError);
 }
 
