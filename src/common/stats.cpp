@@ -7,7 +7,7 @@
 
 namespace heterog {
 
-LinearFit fit_linear(const std::vector<double>& x, const std::vector<double>& y) {
+LinearFit fit_linear(std::span<const double> x, std::span<const double> y) {
   check(x.size() == y.size(), "fit_linear: size mismatch");
   check(x.size() >= 2, "fit_linear: need at least two samples");
   const double n = static_cast<double>(x.size());

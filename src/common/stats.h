@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace heterog {
@@ -18,7 +19,7 @@ struct LinearFit {
 
 /// Fits a line through (x, y) samples. Requires >= 2 samples; with all-equal
 /// x the fit degenerates to slope 0 / intercept mean(y).
-LinearFit fit_linear(const std::vector<double>& x, const std::vector<double>& y);
+LinearFit fit_linear(std::span<const double> x, std::span<const double> y);
 
 double mean(const std::vector<double>& values);
 double stddev(const std::vector<double>& values);

@@ -7,7 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "cluster/cluster.h"
 #include "profiler/cost_provider.h"
@@ -23,13 +23,13 @@ struct AllReduceEstimate {
 
 /// Ring AllReduce over `devices` (>= 2, ring in the given order): 2(R-1)
 /// phases, each moving bytes/R per link; phase time is the slowest ring link.
-double ring_allreduce_ms(int64_t bytes, const std::vector<cluster::DeviceId>& devices,
+double ring_allreduce_ms(int64_t bytes, std::span<const cluster::DeviceId> devices,
                          const profiler::CostProvider& costs);
 
 /// Hierarchical: intra-host ring reduce, inter-host ring over host chiefs
 /// with the full payload, intra-host broadcast.
 double hierarchical_allreduce_ms(int64_t bytes,
-                                 const std::vector<cluster::DeviceId>& devices,
+                                 std::span<const cluster::DeviceId> devices,
                                  const profiler::CostProvider& costs);
 
 /// Rack-aware three-level structure for clusters with an attached
@@ -38,7 +38,7 @@ double hierarchical_allreduce_ms(int64_t bytes,
 /// over rack chiefs, then the mirrored broadcasts. Requires a topology with
 /// >= 2 racks among the participants; throws CheckError otherwise.
 double rack_hierarchical_allreduce_ms(int64_t bytes,
-                                      const std::vector<cluster::DeviceId>& devices,
+                                      std::span<const cluster::DeviceId> devices,
                                       const profiler::CostProvider& costs);
 
 /// Fixed per-collective launch/rendezvous overhead added by
@@ -50,7 +50,7 @@ inline constexpr double kCollectiveLaunchOverheadMs = 1.0;
 /// has a multi-rack topology attached, so flat clusters keep the original
 /// two-way choice bit-for-bit.
 AllReduceEstimate estimate_allreduce(int64_t bytes,
-                                     const std::vector<cluster::DeviceId>& devices,
+                                     std::span<const cluster::DeviceId> devices,
                                      const profiler::CostProvider& costs);
 
 }  // namespace heterog::compile

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <set>
-#include <unordered_map>
+#include <numeric>
+#include <span>
+#include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "compile/collective.h"
@@ -22,60 +24,76 @@ using graph::OpKind;
 using graph::OpRole;
 using strategy::Action;
 
-/// Builder-side view of where one base op runs.
-struct OpPlacement {
-  struct Slot {
-    DeviceId device = -1;
-    double batch = 0.0;
-    DistNodeId node = -1;
-  };
-  std::vector<Slot> slots;
-  bool replicated() const { return slots.size() > 1; }
-  bool aligned_with(const OpPlacement& other) const {
-    if (slots.size() != other.slots.size()) return false;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].device != other.slots[i].device) return false;
-      if (std::abs(slots[i].batch - other.slots[i].batch) > 1e-9) return false;
-    }
-    return true;
-  }
-  std::vector<DeviceId> distinct_devices() const {
-    std::set<DeviceId> s;
-    for (const auto& slot : slots) s.insert(slot.device);
-    return {s.begin(), s.end()};
-  }
+/// One replica: the device it runs on and the batch share it processes.
+struct Slot {
+  DeviceId device = -1;
+  double batch = 0.0;
 };
 
-/// The device used for Concat/Split staging: the one carrying the largest
-/// batch share (fastest device under proportional replication).
-DeviceId primary_device(const OpPlacement& p, const cluster::ClusterSpec& cluster) {
-  std::map<DeviceId, double> share;
-  for (const auto& slot : p.slots) share[slot.device] += slot.batch;
-  DeviceId best = p.slots.front().device;
-  double best_key = -1.0;
-  for (const auto& [dev, s] : share) {
-    const double key = s * 1e6 + cluster.device(dev).gflops_per_ms;
-    if (key > best_key) {
-      best_key = key;
-      best = dev;
+/// The replica slots of every op sharing one placement key, and what the
+/// passes derive from them; computed once per compile and key.
+struct Layout {
+  /// CompilerPass::slots_[begin, begin + count), in replica order. The same
+  /// range of CompilerPass::by_device_ holds the replica indices
+  /// stable-sorted by device.
+  int32_t begin = 0;
+  int32_t count = 0;
+  /// The device used for Concat/Split staging: the one carrying the largest
+  /// batch share (fastest device under proportional replication).
+  DeviceId primary = -1;
+};
+
+/// Builder-side view of where one base op runs: its layout, and the node of
+/// its first replica (place_ops appends an op's replicas consecutively, so
+/// replica r is node first + r). Apply ops, realised by the gradient pass,
+/// have no replicas here: first is -1.
+struct OpPlacement {
+  int32_t layout = -1;
+  DistNodeId first = -1;
+};
+
+/// (source node, device) -> the transfer that copied the node's output
+/// there. Open addressing with linear probing; only probed, never iterated,
+/// so its layout cannot reach node order.
+class TransferCache {
+ public:
+  /// The cached transfer, or -1.
+  DistNodeId find(uint64_t key) const {
+    if (table_.empty()) return -1;
+    for (size_t i = home(key);; i = (i + 1) & (table_.size() - 1)) {
+      if (table_[i].second < 0) return -1;
+      if (table_[i].first == key) return table_[i].second;
     }
   }
-  return best;
-}
+  /// Caches a transfer for a key find() missed.
+  void insert(uint64_t key, DistNodeId transfer) {
+    if (2 * (size_ + 1) > table_.size()) grow();
+    size_t i = home(key);
+    while (table_[i].second >= 0) i = (i + 1) & (table_.size() - 1);
+    table_[i] = {key, transfer};
+    ++size_;
+  }
 
-/// Synthesised structural op (Split / Concat / aggregation add): a single
-/// memory-bound pass over `bytes`.
-OpDef make_structural_op(OpKind kind, const std::string& name, int64_t bytes) {
-  OpDef op;
-  op.id = graph::kInvalidOp;
-  op.name = name;
-  op.kind = kind;
-  op.role = OpRole::kForward;
-  op.flops_fixed = static_cast<double>(bytes) / 4.0;
-  op.out_bytes_fixed = bytes;
-  op.batch_divisible = false;
-  return op;
-}
+ private:
+  size_t home(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> (64 - bits_));
+  }
+  void grow() {
+    bits_ = std::max(bits_ + 1, 6);
+    std::vector<std::pair<uint64_t, DistNodeId>> old(size_t{1} << bits_, {0, -1});
+    old.swap(table_);
+    for (const auto& [key, transfer] : old) {
+      if (transfer < 0) continue;
+      size_t i = home(key);
+      while (table_[i].second >= 0) i = (i + 1) & (table_.size() - 1);
+      table_[i] = {key, transfer};
+    }
+  }
+
+  int bits_ = 0;
+  size_t size_ = 0;
+  std::vector<std::pair<uint64_t, DistNodeId>> table_;  // transfer -1 when empty
+};
 
 class CompilerPass {
  public:
@@ -89,7 +107,12 @@ class CompilerPass {
         strategy_(strategy),
         compiler_(compiler),
         names_(compiler.options().emit_node_names),
-        result_(cluster_) {}
+        result_(cluster_),
+        layout_of_key_(static_cast<size_t>(cluster_.device_count()) + 4, -1),
+        ps_bytes_per_host_(static_cast<size_t>(cluster_.host_count()), 0.0) {
+    structural_op_.role = OpRole::kForward;
+    structural_op_.batch_divisible = false;
+  }
 
   CompileResult run() {
     // Rough upper bound: one replica per device per op plus structural nodes.
@@ -118,11 +141,96 @@ class CompilerPass {
     return out;
   }
 
-  DistNodeId add_transfer(const std::string& name, int64_t bytes, DeviceId from,
-                          DeviceId to, double overhead_ms = 0.0) {
+  // -- Layouts ----------------------------------------------------------------
+
+  /// The layout of `op` under `action`, made on first use. placement_slots
+  /// reads is_mp plus mp_device (MP) or replication (DP), and the op's
+  /// batch_divisible, so those are the key.
+  int32_t layout_of(const OpDef& op, const Action& action) {
+    const int devices = cluster_.device_count();
+    size_t key = 0;
+    if (action.is_mp) {
+      check(action.mp_device >= 0 && action.mp_device < devices,
+            "compile: MP device out of range");
+      key = static_cast<size_t>(action.mp_device);
+    } else {
+      const bool proportional = action.replication == strategy::ReplicationMode::kProportional;
+      key = static_cast<size_t>(devices) + (proportional ? 2 : 0) + (op.batch_divisible ? 1 : 0);
+    }
+    int32_t& index = layout_of_key_[key];
+    if (index < 0) index = make_layout(op, action);
+    return index;
+  }
+
+  int32_t make_layout(const OpDef& op, const Action& action) {
+    Layout layout;
+    layout.begin = static_cast<int32_t>(slots_.size());
+    for (const auto& [device, batch] :
+         compiler_.placement_slots(op, action, graph_.global_batch())) {
+      slots_.push_back({device, batch});
+    }
+    layout.count = static_cast<int32_t>(slots_.size()) - layout.begin;
+    by_device_.resize(slots_.size());
+    const Slot* slots = slots_.data() + layout.begin;
+    const auto order = by_device_.begin() + layout.begin;
+    std::iota(order, by_device_.end(), 0);
+    std::stable_sort(order, by_device_.end(), [&](int32_t a, int32_t b) {
+      return slots[a].device < slots[b].device;
+    });
+    // Each device's share summed in replica order, devices ascending.
+    layout.primary = slots[0].device;
+    double best_key = -1.0;
+    for_each_device(layout, [&](DeviceId device, std::span<const int32_t> replicas) {
+      double share = 0.0;
+      for (const int32_t r : replicas) share += slots[r].batch;
+      const double key = share * 1e6 + cluster_.device(device).gflops_per_ms;
+      if (key > best_key) {
+        best_key = key;
+        layout.primary = device;
+      }
+    });
+    layouts_.push_back(layout);
+    return static_cast<int32_t>(layouts_.size()) - 1;
+  }
+
+  /// Calls `visit(device, replicas)` for each device of `layout` in
+  /// ascending order, with its replica indices in replica order.
+  template <typename Visit>
+  void for_each_device(const Layout& layout, Visit visit) const {
+    const Slot* slots = slots_.data() + layout.begin;
+    const int32_t* order = by_device_.data() + layout.begin;
+    for (int32_t i = 0; i < layout.count;) {
+      const DeviceId device = slots[order[i]].device;
+      int32_t j = i + 1;
+      while (j < layout.count && slots[order[j]].device == device) ++j;
+      visit(device, std::span<const int32_t>(order + i, order + j));
+      i = j;
+    }
+  }
+
+  std::span<const Slot> slots_of(const OpPlacement& p) const {
+    const Layout& layout = layouts_[static_cast<size_t>(p.layout)];
+    return {slots_.data() + layout.begin, static_cast<size_t>(layout.count)};
+  }
+
+  bool aligned(const OpPlacement& a, const OpPlacement& b) const {
+    if (a.layout == b.layout) return true;
+    const auto sa = slots_of(a);
+    const auto sb = slots_of(b);
+    if (sa.size() != sb.size()) return false;
+    for (size_t i = 0; i < sa.size(); ++i) {
+      if (sa[i].device != sb[i].device) return false;
+      if (std::abs(sa[i].batch - sb[i].batch) > 1e-9) return false;
+    }
+    return true;
+  }
+
+  // -- Nodes ------------------------------------------------------------------
+
+  DistNodeId add_transfer(std::string name, int64_t bytes, DeviceId from, DeviceId to,
+                          double overhead_ms = 0.0) {
     check(from != to, "add_transfer: same device");
-    DistNode n;
-    n.name = name;
+    NodeFields n;
     n.kind = NodeKind::kTransfer;
     n.link_from = from;
     n.link_to = to;
@@ -130,38 +238,36 @@ class CompilerPass {
     n.duration_ms = costs_.transfer_time_ms(bytes, from, to) + overhead_ms;
     n.op_kind = OpKind::kIdentity;
     ++result_.stats.transfers;
-    return result_.graph.add_node(std::move(n));
+    return result_.graph.append_node(n, std::move(name));
   }
 
-  DistNodeId add_structural(OpKind kind, const std::string& name, int64_t bytes,
-                            DeviceId device) {
-    const OpDef op = make_structural_op(kind, name, bytes);
-    DistNode n;
-    n.name = name;
-    n.kind = NodeKind::kCompute;
+  /// Synthesised structural op (Split / Concat / aggregation add): a single
+  /// memory-bound pass over `bytes`, priced through one reused OpDef.
+  DistNodeId add_structural(OpKind kind, std::string name, int64_t bytes, DeviceId device) {
+    structural_op_.kind = kind;
+    structural_op_.flops_fixed = static_cast<double>(bytes) / 4.0;
+    structural_op_.out_bytes_fixed = bytes;
+    NodeFields n;
     n.device = device;
     n.output_bytes = bytes;
-    n.duration_ms = costs_.op_time_ms(op, 0.0, device);
+    n.duration_ms = costs_.op_time_ms(structural_op_, 0.0, device);
     n.op_kind = kind;
     if (kind == OpKind::kSplit) ++result_.stats.splits;
     if (kind == OpKind::kConcat) ++result_.stats.concats;
-    return result_.graph.add_node(std::move(n));
+    return result_.graph.append_node(n, std::move(name));
   }
 
-  /// Ensures a copy of `producer_slot`'s output is available on `device`;
+  /// Ensures a copy of `source_node`'s output is available on `device`;
   /// returns the node the consumer should depend on.
   DistNodeId materialize_on(DistNodeId source_node, int64_t bytes, DeviceId source_dev,
-                            DeviceId device, const std::string& name) {
+                            DeviceId device, std::string name) {
     if (source_dev == device) return source_node;
-    // Packed (node, device) key; the cache is only probed, never iterated,
-    // so hash order cannot leak into edge-insertion order.
     const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(source_node)) << 32) |
                          static_cast<uint32_t>(device);
-    auto it = transfer_cache_.find(key);
-    if (it != transfer_cache_.end()) return it->second;
-    const DistNodeId t = add_transfer(name, bytes, source_dev, device);
+    if (const DistNodeId cached = transfer_cache_.find(key); cached >= 0) return cached;
+    const DistNodeId t = add_transfer(std::move(name), bytes, source_dev, device);
     result_.graph.add_edge(source_node, t);
-    transfer_cache_[key] = t;
+    transfer_cache_.insert(key, t);
     return t;
   }
 
@@ -169,39 +275,28 @@ class CompilerPass {
   // (those are created by the gradient-aggregation pass).
   void place_ops() {
     placements_.resize(static_cast<size_t>(graph_.op_count()));
-    result_.nodes_of_op.resize(static_cast<size_t>(graph_.op_count()));
     for (OpId id = 0; id < graph_.op_count(); ++id) {
       const OpDef& op = graph_.op(id);
-      const Action& action = strategy_.action_for(grouping_, id);
-      auto& placement = placements_[static_cast<size_t>(id)];
-      const auto slots = compiler_.placement_slots(op, action, graph_.global_batch());
-      placement.slots.reserve(slots.size());
-      for (const auto& [dev, batch] : slots) {
-        OpPlacement::Slot slot;
-        slot.device = dev;
-        slot.batch = batch;
-        placement.slots.push_back(slot);
-      }
+      OpPlacement& placement = placements_[static_cast<size_t>(id)];
+      placement.layout = layout_of(op, strategy_.action_for(grouping_, id));
       if (op.role == OpRole::kApply) continue;  // realised by GA pass
 
-      for (size_t r = 0; r < placement.slots.size(); ++r) {
-        auto& slot = placement.slots[r];
-        DistNode n;
-        n.name = placement.replicated()
-                         ? node_name(op.name, "/r", static_cast<int64_t>(r))
-                         : node_name(op.name);
-        n.kind = NodeKind::kCompute;
-        n.device = slot.device;
-        n.duration_ms = costs_.op_time_ms(op, slot.batch, slot.device);
-        n.output_bytes = op.out_bytes(slot.batch);
-        n.origin = id;
-        n.op_kind = op.kind;
-        n.role = op.role;
+      const auto slots = slots_of(placement);
+      placement.first = result_.graph.node_count();
+      NodeFields n;
+      n.origin = id;
+      n.op_kind = op.kind;
+      n.role = op.role;
+      for (size_t r = 0; r < slots.size(); ++r) {
+        n.device = slots[r].device;
+        n.duration_ms = costs_.op_time_ms(op, slots[r].batch, n.device);
+        n.output_bytes = op.out_bytes(slots[r].batch);
         n.replica_index = static_cast<int>(r);
-        slot.node = result_.graph.add_node(std::move(n));
-        result_.nodes_of_op[static_cast<size_t>(id)].push_back(slot.node);
-        ++result_.stats.compute_replicas;
+        result_.graph.append_node(n, slots.size() > 1
+                                         ? node_name(op.name, "/r", static_cast<int64_t>(r))
+                                         : node_name(op.name));
       }
+      result_.stats.compute_replicas += static_cast<int>(slots.size());
     }
   }
 
@@ -222,114 +317,129 @@ class CompilerPass {
 
   void wire_edge(OpId u, OpId v) {
     const OpDef& u_op = graph_.op(u);
-    auto& pu = placements_[static_cast<size_t>(u)];
-    auto& pv = placements_[static_cast<size_t>(v)];
+    const OpPlacement& pu = placements_[static_cast<size_t>(u)];
+    const OpPlacement& pv = placements_[static_cast<size_t>(v)];
+    const auto su = slots_of(pu);
+    const auto sv = slots_of(pv);
+    DistGraph& g = result_.graph;
 
-    if (pu.aligned_with(pv)) {
-      for (size_t i = 0; i < pu.slots.size(); ++i) {
-        result_.graph.add_edge(pu.slots[i].node, pv.slots[i].node);
+    if (aligned(pu, pv)) {
+      for (int32_t i = 0; i < static_cast<int32_t>(su.size()); ++i) {
+        g.add_edge(pu.first + i, pv.first + i);
       }
       return;
     }
 
-    if (pu.slots.size() == 1) {
-      const auto& src = pu.slots.front();
-      if (pv.slots.size() == 1) {
-        const auto& dst = pv.slots.front();
-        const DistNodeId feed = materialize_on(src.node, result_.graph.output_bytes(src.node),
-                                               src.device, dst.device,
-                                               node_name(u_op.name, "/send"));
-        result_.graph.add_edge(feed, pv.slots.front().node);
+    if (su.size() == 1) {
+      const DistNodeId src = pu.first;
+      const DeviceId src_dev = su.front().device;
+      if (sv.size() == 1) {
+        const DistNodeId feed = materialize_on(src, g.output_bytes(src), src_dev,
+                                               sv.front().device, node_name(u_op.name, "/send"));
+        g.add_edge(feed, pv.first);
         return;
       }
       // Single producer, replicated consumer.
       if (u_op.batch_divisible) {
         // Output carries the batch dimension: Split then scatter shards.
-        const DistNodeId split = add_structural(
-            OpKind::kSplit, node_name(u_op.name, "/split"), result_.graph.output_bytes(src.node),
-            src.device);
-        result_.graph.add_edge(src.node, split);
-        for (const auto& dst : pv.slots) {
-          const int64_t shard = u_op.out_bytes(dst.batch);
-          if (dst.device == src.device) {
-            result_.graph.add_edge(split, dst.node);
+        const DistNodeId split = add_structural(OpKind::kSplit, node_name(u_op.name, "/split"),
+                                                g.output_bytes(src), src_dev);
+        g.add_edge(src, split);
+        for (int32_t i = 0; i < static_cast<int32_t>(sv.size()); ++i) {
+          const Slot& dst = sv[static_cast<size_t>(i)];
+          if (dst.device == src_dev) {
+            g.add_edge(split, pv.first + i);
           } else {
-            const DistNodeId t =
-                add_transfer(node_name(u_op.name, "/shard"), shard, src.device, dst.device);
-            result_.graph.add_edge(split, t);
-            result_.graph.add_edge(t, dst.node);
+            const DistNodeId t = add_transfer(node_name(u_op.name, "/shard"),
+                                              u_op.out_bytes(dst.batch), src_dev, dst.device);
+            g.add_edge(split, t);
+            g.add_edge(t, pv.first + i);
           }
         }
       } else {
         // Batch-independent tensor: broadcast the full payload per device.
-        for (const auto& dst : pv.slots) {
+        for (int32_t i = 0; i < static_cast<int32_t>(sv.size()); ++i) {
           const DistNodeId feed =
-              materialize_on(src.node, result_.graph.output_bytes(src.node), src.device,
-                             dst.device, node_name(u_op.name, "/bcast"));
-          if (feed == src.node && dst.device == src.device) {
-            result_.graph.add_edge(src.node, dst.node);
-          } else {
-            result_.graph.add_edge(feed, dst.node);
-          }
+              materialize_on(src, g.output_bytes(src), src_dev, sv[static_cast<size_t>(i)].device,
+                             node_name(u_op.name, "/bcast"));
+          g.add_edge(feed, pv.first + i);
         }
       }
       return;
     }
 
     // Replicated producer. Gather replica outputs on the primary device.
-    const DeviceId stage = primary_device(pu, cluster_);
+    const DeviceId stage = layouts_[static_cast<size_t>(pu.layout)].primary;
     double total_batch = 0.0;
-    for (const auto& s : pu.slots) total_batch += s.batch;
+    for (const Slot& s : su) total_batch += s.batch;
     const int64_t full_bytes = u_op.out_bytes(total_batch);
     const DistNodeId concat = add_structural(OpKind::kConcat, node_name(u_op.name, "/concat"),
                                              full_bytes, stage);
-    for (const auto& s : pu.slots) {
-      const DistNodeId feed = materialize_on(
-          s.node, result_.graph.output_bytes(s.node), s.device, stage,
-          node_name(u_op.name, "/gather"));
-      result_.graph.add_edge(feed, concat);
+    for (int32_t i = 0; i < static_cast<int32_t>(su.size()); ++i) {
+      const DistNodeId replica = pu.first + i;
+      const DistNodeId feed =
+          materialize_on(replica, g.output_bytes(replica), su[static_cast<size_t>(i)].device,
+                         stage, node_name(u_op.name, "/gather"));
+      g.add_edge(feed, concat);
     }
 
-    if (pv.slots.size() == 1) {
-      const auto& dst = pv.slots.front();
-      const DistNodeId feed =
-          materialize_on(concat, full_bytes, stage, dst.device, node_name(u_op.name, "/send"));
-      result_.graph.add_edge(feed, dst.node);
+    if (sv.size() == 1) {
+      const DistNodeId feed = materialize_on(concat, full_bytes, stage, sv.front().device,
+                                             node_name(u_op.name, "/send"));
+      g.add_edge(feed, pv.first);
       return;
     }
 
     // Replicated consumer with a different distribution: Split and scatter.
     const DistNodeId split =
         add_structural(OpKind::kSplit, node_name(u_op.name, "/resplit"), full_bytes, stage);
-    result_.graph.add_edge(concat, split);
-    for (const auto& dst : pv.slots) {
-      const int64_t shard = u_op.out_bytes(dst.batch);
+    g.add_edge(concat, split);
+    for (int32_t i = 0; i < static_cast<int32_t>(sv.size()); ++i) {
+      const Slot& dst = sv[static_cast<size_t>(i)];
       if (dst.device == stage) {
-        result_.graph.add_edge(split, dst.node);
+        g.add_edge(split, pv.first + i);
       } else {
-        const DistNodeId t = add_transfer(node_name(u_op.name, "/shard"), shard, stage, dst.device);
-        result_.graph.add_edge(split, t);
-        result_.graph.add_edge(t, dst.node);
+        const DistNodeId t = add_transfer(node_name(u_op.name, "/shard"),
+                                          u_op.out_bytes(dst.batch), stage, dst.device);
+        g.add_edge(split, t);
+        g.add_edge(t, pv.first + i);
       }
     }
   }
 
+  // -- Gradient aggregation ---------------------------------------------------
+
+  /// Records that `device`'s copy of `apply`'s parameters is up to date
+  /// after `node`, replacing an earlier record for the device.
+  void set_ready(OpId apply, DeviceId device, DistNodeId node) {
+    auto& [begin, end] = ready_range_[static_cast<size_t>(apply)];
+    const auto tail = static_cast<int32_t>(ready_.size());
+    if (begin < 0) begin = end = tail;
+    check(end == tail, "compile: an apply op's refresh points must be recorded together");
+    int32_t i = end;
+    while (i > begin && ready_[static_cast<size_t>(i - 1)].device > device) --i;
+    if (i > begin && ready_[static_cast<size_t>(i - 1)].device == device) {
+      ready_[static_cast<size_t>(i - 1)].node = node;
+      return;
+    }
+    ready_.insert(ready_.begin() + i, {device, node});
+    ++end;
+  }
+
   DistNodeId add_apply_node(OpId apply, const OpDef& apply_op, DeviceId dev,
                             DistNodeId dep) {
-    DistNode n;
-    n.name = node_name(apply_op.name, "@G", static_cast<int64_t>(dev));
-    n.kind = NodeKind::kCompute;
+    NodeFields n;
     n.device = dev;
     n.duration_ms = costs_.op_time_ms(apply_op, 0.0, dev);
     n.output_bytes = 0;
     n.origin = apply;
     n.op_kind = apply_op.kind;
     n.role = OpRole::kApply;
-    const DistNodeId id = result_.graph.add_node(std::move(n));
+    const DistNodeId id =
+        result_.graph.append_node(n, node_name(apply_op.name, "@G", static_cast<int64_t>(dev)));
     result_.graph.add_edge(dep, id);
-    result_.nodes_of_op[static_cast<size_t>(apply)].push_back(id);
     ++result_.stats.compute_replicas;
-    param_ready_[apply][dev] = id;
+    set_ready(apply, dev, id);
     return id;
   }
 
@@ -340,9 +450,15 @@ class CompilerPass {
     OpId grad = graph::kInvalidOp;
     OpId apply = graph::kInvalidOp;
     int64_t bytes = 0;
-    std::map<DeviceId, DistNodeId> partial;
-    std::vector<DeviceId> devices;
+    /// ar_devices_ / ar_partials_ [begin, begin + count): each participant
+    /// and its partial gradient, devices ascending.
+    int32_t begin = 0;
+    int32_t count = 0;
   };
+
+  std::span<const DeviceId> devices_of(const ArRequest& request) const {
+    return {ar_devices_.data() + request.begin, static_cast<size_t>(request.count)};
+  }
 
   /// Effective serial ingest rate of a host NIC in our exclusive-resource
   /// model: each transfer runs at the path-min bandwidth, so a fast NIC fed
@@ -362,65 +478,61 @@ class CompilerPass {
   // Pass 3: gradient aggregation + apply + static parameter residency.
   void wire_gradient_aggregation() {
     // Index grad and apply ops by the forward op they serve.
-    std::unordered_map<OpId, OpId> grad_of_fw, apply_of_fw;  // probed only, never iterated
+    const auto op_count = static_cast<size_t>(graph_.op_count());
+    const auto in_range = [&](OpId id) { return id >= 0 && static_cast<size_t>(id) < op_count; };
+    std::vector<OpId> grad_of_fw(op_count, graph::kInvalidOp);
+    std::vector<OpId> apply_of_fw(op_count, graph::kInvalidOp);
     for (OpId id = 0; id < graph_.op_count(); ++id) {
       const OpDef& op = graph_.op(id);
-      if (op.grad_of != graph::kInvalidOp) grad_of_fw[op.grad_of] = id;
+      if (in_range(op.grad_of)) grad_of_fw[static_cast<size_t>(op.grad_of)] = id;
       if (op.role == OpRole::kApply) {
         check(op.mirror_of != graph::kInvalidOp, "apply op without mirror");
-        apply_of_fw[op.mirror_of] = id;
+        if (in_range(op.mirror_of)) apply_of_fw[static_cast<size_t>(op.mirror_of)] = id;
       }
     }
+    ready_range_.assign(op_count, {-1, -1});
 
+    DistGraph& g = result_.graph;
     for (OpId fw = 0; fw < graph_.op_count(); ++fw) {
       const OpDef& fw_op = graph_.op(fw);
       if (fw_op.param_bytes <= 0) continue;
-      const auto git = grad_of_fw.find(fw);
-      const auto ait = apply_of_fw.find(fw);
-      check(git != grad_of_fw.end(), "param op without grad op");
-      check(ait != apply_of_fw.end(), "param op without apply op");
-      const OpId grad = git->second;
-      const OpId apply = ait->second;
+      const OpId grad = grad_of_fw[static_cast<size_t>(fw)];
+      const OpId apply = apply_of_fw[static_cast<size_t>(fw)];
+      check(grad != graph::kInvalidOp, "param op without grad op");
+      check(apply != graph::kInvalidOp, "param op without apply op");
       const OpDef& apply_op = graph_.op(apply);
-      const auto& pg = placements_[static_cast<size_t>(grad)];
+      const OpPlacement& pg = placements_[static_cast<size_t>(grad)];
       const Action& action = strategy_.action_for(grouping_, grad);
       const int64_t bytes = fw_op.param_bytes;
 
       // Parameters are resident on every device that computes with them,
       // together with the optimiser's slot variable (momentum) of equal size.
       constexpr int64_t kOptimizerSlots = 1;  // SGD-with-momentum
-      for (DeviceId d : placements_[static_cast<size_t>(fw)].distinct_devices()) {
-        result_.graph.add_static_param_bytes(d, bytes * (1 + kOptimizerSlots));
-      }
+      for_each_device(layouts_[static_cast<size_t>(placements_[static_cast<size_t>(fw)].layout)],
+                      [&](DeviceId d, std::span<const int32_t>) {
+                        g.add_static_param_bytes(d, bytes * (1 + kOptimizerSlots));
+                      });
 
       // Per-device partial gradient (local aggregation if several replicas
-      // of the grad op share a device).
-      std::map<DeviceId, std::vector<DistNodeId>> by_device;
-      for (const auto& s : pg.slots) by_device[s.device].push_back(s.node);
-      std::map<DeviceId, DistNodeId> partial;
-      for (const auto& [dev, nodes] : by_device) {
-        if (nodes.size() == 1) {
-          partial[dev] = nodes.front();
-        } else {
-          const DistNodeId agg = add_structural(
-              OpKind::kAdd, node_name(fw_op.name, "/local_agg"), bytes, dev);
-          for (DistNodeId n : nodes) result_.graph.add_edge(n, agg);
-          partial[dev] = agg;
-          ++result_.stats.local_aggregations;
-        }
-      }
+      // of the grad op share a device), devices ascending.
+      partial_.clear();
+      for_each_device(layouts_[static_cast<size_t>(pg.layout)],
+                      [&](DeviceId dev, std::span<const int32_t> replicas) {
+                        if (replicas.size() == 1) {
+                          partial_.emplace_back(dev, pg.first + replicas.front());
+                          return;
+                        }
+                        const DistNodeId agg = add_structural(
+                            OpKind::kAdd, node_name(fw_op.name, "/local_agg"), bytes, dev);
+                        for (const int32_t r : replicas) g.add_edge(pg.first + r, agg);
+                        partial_.emplace_back(dev, agg);
+                        ++result_.stats.local_aggregations;
+                      });
 
-      if (partial.size() == 1) {
+      if (partial_.size() == 1) {
         // Single-device parameters (MP or non-replicated): plain apply.
-        const auto& [dev, node] = *partial.begin();
-        add_apply_node(apply, apply_op, dev, node);
+        add_apply_node(apply, apply_op, partial_.front().first, partial_.front().second);
         continue;
-      }
-
-      std::vector<DeviceId> devices;
-      for (const auto& [dev, node] : partial) {
-        (void)node;
-        devices.push_back(dev);
       }
 
       if (action.comm == strategy::CommMethod::kAllReduce) {
@@ -429,153 +541,161 @@ class CompilerPass {
         request.grad = grad;
         request.apply = apply;
         request.bytes = bytes;
-        request.partial = partial;
-        request.devices = devices;
-        ar_requests_.push_back(std::move(request));
+        request.begin = static_cast<int32_t>(ar_devices_.size());
+        request.count = static_cast<int32_t>(partial_.size());
+        for (const auto& [dev, node] : partial_) {
+          ar_devices_.push_back(dev);
+          ar_partials_.push_back(node);
+        }
+        ar_requests_.push_back(request);
       } else {
-        // PS with host-level pre-aggregation: gradients of the devices on
-        // one host are first reduced onto a host chief over the intra-host
-        // fabric, the chief pushes once to the PS, and after the update the
-        // chief pulls once and re-broadcasts locally. This halves NIC
-        // traffic versus per-GPU push/pull and mirrors production PS setups.
-        const double rpc_ms = compiler_.options().ps_rpc_overhead_ms;
-
-        // 1. Per-host chiefs and host-level partial gradients.
-        std::map<int, std::vector<std::pair<DeviceId, DistNodeId>>> by_host;
-        for (const auto& [dev, node] : partial) {
-          by_host[cluster_.device(dev).host].emplace_back(dev, node);
-        }
-        std::map<int, std::pair<DeviceId, DistNodeId>> host_partial;  // chief, node
-        for (const auto& [host, members] : by_host) {
-          const DeviceId chief = members.front().first;
-          if (members.size() == 1) {
-            host_partial[host] = {chief, members.front().second};
-            continue;
-          }
-          const DistNodeId agg =
-              add_structural(OpKind::kAdd, node_name(fw_op.name, "/host_agg"), bytes, chief);
-          for (const auto& [dev, node] : members) {
-            if (dev == chief) {
-              result_.graph.add_edge(node, agg);
-            } else {
-              const DistNodeId t =
-                  add_transfer(node_name(fw_op.name, "/local_push"), bytes, dev, chief);
-              result_.graph.add_edge(node, t);
-              result_.graph.add_edge(t, agg);
-            }
-          }
-          ++result_.stats.local_aggregations;
-          host_partial[host] = {chief, agg};
-        }
-
-        // 2. PS placement among chiefs: minimise push + pull completion,
-        //    including the gradient backlog already routed through the
-        //    candidate's host NIC (otherwise every group elects the same
-        //    fast host and its links bottleneck — paper Sec. 2.3).
-        DeviceId ps = host_partial.begin()->second.first;
-        const int forced = compiler_.options().forced_ps_device;
-        if (forced >= 0) {
-          // Honour the forced device when it holds a replica (its host chief
-          // otherwise).
-          for (const auto& [host, chief_node] : host_partial) {
-            (void)host;
-            if (chief_node.first == forced) ps = forced;
-          }
-          if (ps != forced) {
-            const int want_host = cluster_.device(forced).host;
-            const auto it = host_partial.find(want_host);
-            if (it != host_partial.end()) ps = it->second.first;
-          }
-        }
-        double best = 1e300;
-        for (const auto& [host, chief_node] : host_partial) {
-          if (forced >= 0) break;
-          const DeviceId cand = chief_node.first;
-          double push = 0.0, pull = 0.0;
-          for (const auto& [other_host, other] : host_partial) {
-            if (other_host == host) continue;
-            push = std::max(push, costs_.transfer_time_ms(bytes, other.first, cand));
-            pull = std::max(pull, costs_.transfer_time_ms(bytes, cand, other.first));
-          }
-          const double backlog_ms =
-              2.0 * ps_bytes_per_host_[static_cast<size_t>(host)] / effective_nic_rate(host);
-          if (push + pull + backlog_ms < best) {
-            best = push + pull + backlog_ms;
-            ps = cand;
-          }
-        }
-        const int ps_host = cluster_.device(ps).host;
-        ps_bytes_per_host_[static_cast<size_t>(ps_host)] +=
-            static_cast<double>(bytes) *
-            static_cast<double>(host_partial.size() > 1 ? host_partial.size() - 1 : 1);
-
-        // 3. Chief pushes, PS aggregation, apply.
-        const DistNodeId agg =
-            add_structural(OpKind::kAdd, node_name(fw_op.name, "/ps_agg"), bytes, ps);
-        ++result_.stats.ps_aggregations;
-        for (const auto& [host, chief_node] : by_host) {
-          const auto& [chief, node] = host_partial[host];
-          (void)chief_node;
-          if (chief == ps) {
-            result_.graph.add_edge(node, agg);
-          } else {
-            const DistNodeId push =
-                add_transfer(node_name(fw_op.name, "/push"), bytes, chief, ps, rpc_ms);
-            result_.graph.add_edge(node, push);
-            result_.graph.add_edge(push, agg);
-          }
-        }
-        const DistNodeId apply_node = add_apply_node(apply, apply_op, ps, agg);
-
-        // 4. Chiefs pull, then re-broadcast intra-host.
-        for (const auto& [host, members] : by_host) {
-          const DeviceId chief = host_partial[host].first;
-          DistNodeId chief_ready = apply_node;
-          if (chief != ps) {
-            chief_ready = add_transfer(node_name(fw_op.name, "/pull"), bytes, ps, chief, rpc_ms);
-            result_.graph.add_edge(apply_node, chief_ready);
-            param_ready_[apply][chief] = chief_ready;
-          }
-          for (const auto& [dev, node] : members) {
-            (void)node;
-            if (dev == chief || dev == ps) continue;
-            const DistNodeId bcast =
-                add_transfer(node_name(fw_op.name, "/local_pull"), bytes, chief, dev);
-            result_.graph.add_edge(chief_ready, bcast);
-            param_ready_[apply][dev] = bcast;
-          }
-        }
+        aggregate_via_ps(fw_op, apply, apply_op, bytes);
       }
     }
 
     emit_fused_collectives();
   }
 
+  /// PS with host-level pre-aggregation over partial_: gradients of the
+  /// devices on one host are first reduced onto a host chief over the
+  /// intra-host fabric, the chief pushes once to the PS, and after the update
+  /// the chief pulls once and re-broadcasts locally. This halves NIC traffic
+  /// versus per-GPU push/pull and mirrors production PS setups.
+  void aggregate_via_ps(const OpDef& fw_op, OpId apply, const OpDef& apply_op, int64_t bytes) {
+    DistGraph& g = result_.graph;
+    const double rpc_ms = compiler_.options().ps_rpc_overhead_ms;
+
+    // 1. Per-host chiefs and host-level partial gradients: the members
+    //    stable-sorted by host keep each host's devices ascending.
+    members_.clear();
+    for (const auto& [dev, node] : partial_) {
+      members_.push_back({cluster_.device(dev).host, dev, node});
+    }
+    std::stable_sort(members_.begin(), members_.end(),
+                     [](const Member& a, const Member& b) { return a.host < b.host; });
+    hosts_.clear();  // hosts ascending
+    for (size_t begin = 0; begin < members_.size();) {
+      size_t end = begin + 1;
+      while (end < members_.size() && members_[end].host == members_[begin].host) ++end;
+      const DeviceId chief = members_[begin].device;
+      HostPartial host{members_[begin].host, chief, members_[begin].node, begin, end};
+      if (end - begin > 1) {
+        host.node =
+            add_structural(OpKind::kAdd, node_name(fw_op.name, "/host_agg"), bytes, chief);
+        for (size_t i = begin; i < end; ++i) {
+          if (members_[i].device == chief) {
+            g.add_edge(members_[i].node, host.node);
+          } else {
+            const DistNodeId t = add_transfer(node_name(fw_op.name, "/local_push"), bytes,
+                                              members_[i].device, chief);
+            g.add_edge(members_[i].node, t);
+            g.add_edge(t, host.node);
+          }
+        }
+        ++result_.stats.local_aggregations;
+      }
+      hosts_.push_back(host);
+      begin = end;
+    }
+
+    // 2. PS placement among chiefs: minimise push + pull completion,
+    //    including the gradient backlog already routed through the
+    //    candidate's host NIC (otherwise every group elects the same
+    //    fast host and its links bottleneck — paper Sec. 2.3).
+    DeviceId ps = hosts_.front().chief;
+    const int forced = compiler_.options().forced_ps_device;
+    if (forced >= 0) {
+      // Honour the forced device when it holds a replica (its host chief
+      // otherwise).
+      for (const HostPartial& host : hosts_) {
+        if (host.chief == forced) ps = forced;
+      }
+      if (ps != forced) {
+        const int want_host = cluster_.device(forced).host;
+        for (const HostPartial& host : hosts_) {
+          if (host.host == want_host) ps = host.chief;
+        }
+      }
+    }
+    double best = 1e300;
+    for (const HostPartial& host : hosts_) {
+      if (forced >= 0) break;
+      const DeviceId cand = host.chief;
+      double push = 0.0, pull = 0.0;
+      for (const HostPartial& other : hosts_) {
+        if (other.host == host.host) continue;
+        push = std::max(push, costs_.transfer_time_ms(bytes, other.chief, cand));
+        pull = std::max(pull, costs_.transfer_time_ms(bytes, cand, other.chief));
+      }
+      const double backlog_ms =
+          2.0 * ps_bytes_per_host_[static_cast<size_t>(host.host)] / effective_nic_rate(host.host);
+      if (push + pull + backlog_ms < best) {
+        best = push + pull + backlog_ms;
+        ps = cand;
+      }
+    }
+    const int ps_host = cluster_.device(ps).host;
+    ps_bytes_per_host_[static_cast<size_t>(ps_host)] +=
+        static_cast<double>(bytes) *
+        static_cast<double>(hosts_.size() > 1 ? hosts_.size() - 1 : 1);
+
+    // 3. Chief pushes, PS aggregation, apply.
+    const DistNodeId agg = add_structural(OpKind::kAdd, node_name(fw_op.name, "/ps_agg"), bytes, ps);
+    ++result_.stats.ps_aggregations;
+    for (const HostPartial& host : hosts_) {
+      if (host.chief == ps) {
+        g.add_edge(host.node, agg);
+      } else {
+        const DistNodeId push =
+            add_transfer(node_name(fw_op.name, "/push"), bytes, host.chief, ps, rpc_ms);
+        g.add_edge(host.node, push);
+        g.add_edge(push, agg);
+      }
+    }
+    const DistNodeId apply_node = add_apply_node(apply, apply_op, ps, agg);
+
+    // 4. Chiefs pull, then re-broadcast intra-host.
+    for (const HostPartial& host : hosts_) {
+      DistNodeId chief_ready = apply_node;
+      if (host.chief != ps) {
+        chief_ready = add_transfer(node_name(fw_op.name, "/pull"), bytes, ps, host.chief, rpc_ms);
+        g.add_edge(apply_node, chief_ready);
+        set_ready(apply, host.chief, chief_ready);
+      }
+      for (size_t i = host.begin; i < host.end; ++i) {
+        const DeviceId dev = members_[i].device;
+        if (dev == host.chief || dev == ps) continue;
+        const DistNodeId bcast =
+            add_transfer(node_name(fw_op.name, "/local_pull"), bytes, host.chief, dev);
+        g.add_edge(chief_ready, bcast);
+        set_ready(apply, dev, bcast);
+      }
+    }
+  }
+
   /// Emits one collective realising the given AllReduce requests, plus the
   /// per-device apply nodes it gates.
-  void emit_bucket(const std::vector<size_t>& members,
-                   const std::vector<DeviceId>& devices) {
+  void emit_bucket(std::span<const size_t> members, std::span<const DeviceId> devices) {
     int64_t total = 0;
     for (size_t idx : members) total += ar_requests_[idx].bytes;
-    DistNode coll;
-    coll.name =
-        members.size() == 1
-            ? node_name(graph_.op(ar_requests_[members.front()].fw).name, "/allreduce")
-            : node_name("fused_allreduce[", static_cast<int64_t>(members.size()), "]");
+    NodeFields coll;
     coll.kind = NodeKind::kCollective;
-    coll.participants = devices;
     coll.output_bytes = total;
     coll.duration_ms = estimate_allreduce(total, devices, costs_).time_ms;
     coll.origin = ar_requests_[members.front()].grad;
     coll.op_kind = OpKind::kAdd;
     coll.role = OpRole::kBackward;
-    const DistNodeId coll_id = result_.graph.add_node(std::move(coll));
+    const DistNodeId coll_id = result_.graph.append_node(
+        coll,
+        members.size() == 1
+            ? node_name(graph_.op(ar_requests_[members.front()].fw).name, "/allreduce")
+            : node_name("fused_allreduce[", static_cast<int64_t>(members.size()), "]"),
+        devices);
     ++result_.stats.collectives;
     for (size_t idx : members) {
       const ArRequest& request = ar_requests_[idx];
-      for (const auto& [dev, node] : request.partial) {
-        (void)dev;
-        result_.graph.add_edge(node, coll_id);
+      for (int32_t i = 0; i < request.count; ++i) {
+        result_.graph.add_edge(ar_partials_[static_cast<size_t>(request.begin + i)], coll_id);
       }
       const OpDef& apply_op = graph_.op(request.apply);
       for (DeviceId dev : devices) {
@@ -598,10 +718,8 @@ class CompilerPass {
       // every request by itself immediately, so emit directly in backward
       // order — identical output, without the bucket maps or the phase
       // (topological-order) computation their keys need.
-      std::vector<size_t> one(1);
       for (size_t i = 0; i < ar_requests_.size(); ++i) {
-        one[0] = i;
-        emit_bucket(one, ar_requests_[i].devices);
+        emit_bucket({&i, 1}, devices_of(ar_requests_[i]));
       }
       return;
     }
@@ -635,7 +753,9 @@ class CompilerPass {
 
     for (size_t i = 0; i < ar_requests_.size(); ++i) {
       const auto& request = ar_requests_[i];
-      const BucketKey key{phase[static_cast<size_t>(request.grad)], request.devices};
+      const auto devices = devices_of(request);
+      const BucketKey key{phase[static_cast<size_t>(request.grad)],
+                          std::vector<DeviceId>(devices.begin(), devices.end())};
       auto& bytes_acc = open_bytes[key];
       if (!open_bucket[key].empty() && bytes_acc + request.bytes > fusion_limit) {
         flush(key);
@@ -658,23 +778,25 @@ class CompilerPass {
   void wire_parameter_consumers() {
     for (OpId u = 0; u < graph_.op_count(); ++u) {
       if (graph_.op(u).role != OpRole::kApply) continue;
-      const auto ready_it = param_ready_.find(u);
-      check(ready_it != param_ready_.end(), "apply op without param_ready entry");
-      const auto& ready = ready_it->second;
+      const auto [begin, end] = ready_range_[static_cast<size_t>(u)];
+      check(begin >= 0, "apply op without param_ready entry");
+      const std::span<const Ready> ready(ready_.data() + begin, ready_.data() + end);
       for (OpId v : graph_.successors(u)) {
-        for (const auto& slot : placements_[static_cast<size_t>(v)].slots) {
-          if (slot.node < 0) continue;  // apply consumer (not expected)
-          const auto dep = ready.find(slot.device);
-          if (dep != ready.end()) {
-            result_.graph.add_edge(dep->second, slot.node);
+        const OpPlacement& pv = placements_[static_cast<size_t>(v)];
+        if (pv.first < 0) continue;  // apply consumer (not expected)
+        const auto slots = slots_of(pv);
+        for (int32_t r = 0; r < static_cast<int32_t>(slots.size()); ++r) {
+          const DeviceId device = slots[static_cast<size_t>(r)].device;
+          const auto dep = std::lower_bound(
+              ready.begin(), ready.end(), device,
+              [](const Ready& entry, DeviceId d) { return entry.device < d; });
+          if (dep != ready.end() && dep->device == device) {
+            result_.graph.add_edge(dep->node, pv.first + r);
           } else {
             // Consumer on a device without a parameter copy (placement
             // changed across iterations is not expected, but stay safe):
-            // gate on every refresh point.
-            for (const auto& [dev, node] : ready) {
-              (void)dev;
-              result_.graph.add_edge(node, slot.node);
-            }
+            // gate on every refresh point, devices ascending.
+            for (const Ready& entry : ready) result_.graph.add_edge(entry.node, pv.first + r);
           }
         }
       }
@@ -702,17 +824,57 @@ class CompilerPass {
   const GraphCompiler& compiler_;
   const bool names_;  // CompilerOptions::emit_node_names
   CompileResult result_;
-  std::unordered_map<uint64_t, DistNodeId> transfer_cache_;
+
+  /// Layout index per placement key: MP device d -> d; DP -> D + 2 *
+  /// proportional + batch_divisible. -1 until first used.
+  std::vector<int32_t> layout_of_key_;
+  std::vector<Layout> layouts_;
+  std::vector<Slot> slots_;
+  std::vector<int32_t> by_device_;
   std::vector<OpPlacement> placements_;
+  TransferCache transfer_cache_;
+  /// Split, Concat and Add ops are priced through this one op.
+  OpDef structural_op_;
+
   /// Bytes of gradient traffic already routed to each host's PS devices
   /// (load-aware PS placement).
-  std::vector<double> ps_bytes_per_host_ =
-      std::vector<double>(static_cast<size_t>(cluster_.host_count()), 0.0);
+  std::vector<double> ps_bytes_per_host_;
   /// For each apply op: the node on each device after which that device's
   /// parameter copy is up to date (apply itself, or the pull from the PS).
-  std::map<OpId, std::map<DeviceId, DistNodeId>> param_ready_;
-  /// AllReduce requests awaiting fusion (emit_fused_collectives).
+  /// An apply op's entries are ready_[range.first, range.second), devices
+  /// ascending; they are recorded together, so the range is the tail while
+  /// they are.
+  struct Ready {
+    DeviceId device;
+    DistNodeId node;
+  };
+  std::vector<Ready> ready_;
+  std::vector<std::pair<int32_t, int32_t>> ready_range_;  // by op id; -1 = none
+
+  /// The current parameter's partial gradient per device, devices ascending.
+  std::vector<std::pair<DeviceId, DistNodeId>> partial_;
+  /// aggregate_via_ps scratch: partial_ grouped by host, and per host its
+  /// chief, its host-level partial and its range of members_.
+  struct Member {
+    int host;
+    DeviceId device;
+    DistNodeId node;
+  };
+  struct HostPartial {
+    int host;
+    DeviceId chief;
+    DistNodeId node;
+    size_t begin;
+    size_t end;
+  };
+  std::vector<Member> members_;
+  std::vector<HostPartial> hosts_;
+
+  /// AllReduce requests awaiting fusion (emit_fused_collectives), and their
+  /// participants and partial gradients.
   std::vector<ArRequest> ar_requests_;
+  std::vector<DeviceId> ar_devices_;
+  std::vector<DistNodeId> ar_partials_;
 };
 
 }  // namespace

@@ -35,9 +35,6 @@ struct CompileStats {
 struct CompileResult {
   DistGraph graph;
   CompileStats stats;
-  /// For every base op, the dist nodes realising it (replicas; empty for
-  /// apply ops of PS groups realised on the PS device only).
-  std::vector<std::vector<DistNodeId>> nodes_of_op;
 
   explicit CompileResult(const cluster::ClusterSpec& cluster) : graph(cluster) {}
 };

@@ -144,40 +144,42 @@ DistGraph::Structure& DistGraph::building(const char* what) {
   return *s_;
 }
 
-DistNodeId DistGraph::add_node(DistNode node) {
+DistNodeId DistGraph::append_node(const NodeFields& fields, std::string name,
+                                  std::span<const DeviceId> participants) {
   Structure& s = building("add_node");
-  switch (node.kind) {
+  switch (fields.kind) {
     case NodeKind::kCompute:
-      check(node.device >= 0 && node.device < s.resources.device_count(),
+      check(fields.device >= 0 && fields.device < s.resources.device_count(),
             "add_node: compute node without valid device");
       break;
     case NodeKind::kTransfer:
-      check(node.link_from >= 0 && node.link_to >= 0 && node.link_from != node.link_to,
+      check(fields.link_from >= 0 && fields.link_to >= 0 &&
+                fields.link_from != fields.link_to,
             "add_node: transfer node without valid link");
       break;
     case NodeKind::kCollective:
-      check(node.participants.size() >= 2, "add_node: collective needs >= 2 participants");
+      check(participants.size() >= 2, "add_node: collective needs >= 2 participants");
       break;
   }
-  check(node.duration_ms >= 0.0, "add_node: negative duration");
+  check(fields.duration_ms >= 0.0, "add_node: negative duration");
   const auto id = static_cast<DistNodeId>(duration_.size());
-  s.kind.push_back(node.kind);
-  s.device.push_back(node.device);
-  s.link_from.push_back(node.link_from);
-  s.link_to.push_back(node.link_to);
-  s.output_bytes.push_back(node.output_bytes);
-  s.origin.push_back(node.origin);
-  s.op_kind.push_back(node.op_kind);
-  s.role.push_back(node.role);
-  s.replica_index.push_back(node.replica_index);
-  s.participants.dat.insert(s.participants.dat.end(), node.participants.begin(),
-                            node.participants.end());
+  s.kind.push_back(fields.kind);
+  s.device.push_back(fields.device);
+  s.link_from.push_back(fields.link_from);
+  s.link_to.push_back(fields.link_to);
+  s.output_bytes.push_back(fields.output_bytes);
+  s.origin.push_back(fields.origin);
+  s.op_kind.push_back(fields.op_kind);
+  s.role.push_back(fields.role);
+  s.replica_index.push_back(fields.replica_index);
+  s.participants.dat.insert(s.participants.dat.end(), participants.begin(),
+                            participants.end());
   s.participants.off.push_back(static_cast<int32_t>(s.participants.dat.size()));
-  if (!node.name.empty()) {
+  if (!name.empty()) {
     s.names.resize(static_cast<size_t>(id));
-    s.names.push_back(std::move(node.name));
+    s.names.push_back(std::move(name));
   }
-  duration_.push_back(node.duration_ms);
+  duration_.push_back(fields.duration_ms);
   return id;
 }
 

@@ -34,20 +34,16 @@ using DistNodeId = int32_t;
 enum class NodeKind : uint8_t { kCompute, kTransfer, kCollective };
 const char* node_kind_name(NodeKind kind);
 
-/// One node's fields: what a caller hands to DistGraph::add_node, and what
-/// DistGraph::node assembles back for tests, traces and deploy tooling. The
-/// graph itself keeps each field in its own array.
-struct DistNode {
-  DistNodeId id = -1;
-  std::string name;
+/// A node's scalar fields: everything but its name and participants. The
+/// Graph Compiler appends nodes from these (DistGraph::append_node).
+struct NodeFields {
   NodeKind kind = NodeKind::kCompute;
 
   // kCompute: execution device. kTransfer: unused (see link_*). kCollective:
-  // unused (see participants).
+  // unused (see DistNode::participants).
   DeviceId device = -1;
   DeviceId link_from = -1;
   DeviceId link_to = -1;
-  std::vector<DeviceId> participants;  // collective only, sorted, unique
 
   /// Precomputed duration (cost model applied at compile time).
   double duration_ms = 0.0;
@@ -61,6 +57,15 @@ struct DistNode {
   graph::OpKind op_kind = graph::OpKind::kIdentity;
   graph::OpRole role = graph::OpRole::kForward;
   int replica_index = -1;
+};
+
+/// One node's fields: what a caller hands to DistGraph::add_node, and what
+/// DistGraph::node assembles back for tests, traces and deploy tooling. The
+/// graph itself keeps each field in its own array.
+struct DistNode : NodeFields {
+  DistNodeId id = -1;
+  std::string name;
+  std::vector<DeviceId> participants;  // collective only, sorted, unique
 
   bool is_communication() const { return kind != NodeKind::kCompute; }
 };
@@ -162,7 +167,13 @@ class DistGraph {
   /// transfer without two distinct non-negative endpoints, a collective with
   /// fewer than two participants and a negative duration; the remaining
   /// range checks happen in finalize(). The name is kept only when not empty.
-  DistNodeId add_node(DistNode node);
+  DistNodeId add_node(const DistNode& node) {
+    return append_node(node, node.name, node.participants);
+  }
+  /// add_node from the parts, without a DistNode to build: the Graph
+  /// Compiler's path.
+  DistNodeId append_node(const NodeFields& fields, std::string name = {},
+                         std::span<const DeviceId> participants = {});
   /// Appends an edge. A repeated edge is dropped by finalize(), which keeps
   /// the first occurrence.
   void add_edge(DistNodeId from, DistNodeId to);

@@ -11,7 +11,6 @@
 // multiplicative noise (seeded Rng) standing in for real kernel-time jitter.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -63,8 +62,13 @@ class CostModel final : public CostProvider {
   // devices the per-row vector indirection costs a cache miss per lookup in
   // the compile hot path.
   std::vector<LinearFit> op_fits_;
-  // [kind][device] -> time(flops) fit, fallback for synthesised ops.
-  std::map<std::pair<int, int>, LinearFit> kind_fits_;
+  // [kind * device_count + device] -> time(flops) fit, the fallback for
+  // synthesised ops; a kind never profiled on a device has no fit.
+  struct KindFit {
+    LinearFit fit;
+    bool fitted = false;
+  };
+  std::vector<KindFit> kind_fits_;
   // [from * device_count + to] -> time(bytes) fit, flat for the same reason.
   std::vector<LinearFit> link_fits_;
 };

@@ -63,8 +63,9 @@ std::string chrome_trace_json(const compile::DistGraph& graph, const SimResult& 
   os << "{\"traceEvents\":[";
   bool first = true;
 
-  // Resource name metadata (tid = resource index, pid = 0).
-  for (int r = 0; r < resources.resource_count(); ++r) {
+  // Resource name metadata (tid = resource index, pid = 0), one row per
+  // resource the graph occupies, ascending.
+  for (const int r : graph.used_resources()) {
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << r
@@ -109,30 +110,44 @@ std::string ascii_timeline(const compile::DistGraph& graph, const SimResult& res
   os << "timeline: " << result.makespan_ms << " ms total, one column ~ "
      << per_column << " ms\n";
 
+  // The nodes queued on each used resource, in id order: one pass, instead
+  // of a scan of every node per row.
   const std::vector<int32_t>& used = graph.used_resources();
   const std::vector<int32_t>& queue = graph.queue_resources();
+  std::vector<int32_t> row_begin(used.size() + 1, 0);
+  for (const int32_t r : queue) ++row_begin[static_cast<size_t>(r) + 1];
+  for (size_t r = 0; r < used.size(); ++r) row_begin[r + 1] += row_begin[r];
+  std::vector<compile::DistNodeId> by_row(queue.size());
+  std::vector<int32_t> next(row_begin.begin(), row_begin.end() - 1);
+  for (compile::DistNodeId id = 0; id < graph.node_count(); ++id) {
+    by_row[static_cast<size_t>(next[static_cast<size_t>(queue[static_cast<size_t>(id)])]++)] = id;
+  }
+
+  // A row prints for a GPU, or for a resource some node queues on.
   auto render_row = [&](int resource, const std::string& label) {
+    const auto it = std::lower_bound(used.begin(), used.end(), resource);
+    const bool occupied = it != used.end() && *it == resource;
+    const auto dense = static_cast<size_t>(it - used.begin());
+    const int32_t begin = occupied ? row_begin[dense] : 0;
+    const int32_t end = occupied ? row_begin[dense + 1] : 0;
+    if (begin == end && !resources.is_gpu_resource(resource)) return;
     std::string row(static_cast<size_t>(options.width), '.');
-    bool any = false;
-    for (compile::DistNodeId id = 0; id < graph.node_count(); ++id) {
-      if (used[static_cast<size_t>(queue[static_cast<size_t>(id)])] != resource) continue;
-      any = true;
+    for (int32_t k = begin; k < end; ++k) {
+      const compile::DistNodeId id = by_row[static_cast<size_t>(k)];
       const compile::NodeKind kind = graph.kind(id);
       const char glyph = kind == compile::NodeKind::kCompute
                              ? '#'
                              : (kind == compile::NodeKind::kTransfer ? '=' : '*');
-      int begin = static_cast<int>(result.start_ms[static_cast<size_t>(id)] / per_column);
-      int end = static_cast<int>(
+      int first = static_cast<int>(result.start_ms[static_cast<size_t>(id)] / per_column);
+      int last = static_cast<int>(
           std::ceil(result.finish_ms[static_cast<size_t>(id)] / per_column));
-      begin = std::clamp(begin, 0, options.width - 1);
-      end = std::clamp(end, begin + 1, options.width);
-      for (int c = begin; c < end; ++c) row[static_cast<size_t>(c)] = glyph;
+      first = std::clamp(first, 0, options.width - 1);
+      last = std::clamp(last, first + 1, options.width);
+      for (int c = first; c < last; ++c) row[static_cast<size_t>(c)] = glyph;
     }
-    if (any || resources.is_gpu_resource(resource)) {
-      os << label;
-      if (label.size() < 14) os << std::string(14 - label.size(), ' ');
-      os << row << "\n";
-    }
+    os << label;
+    if (label.size() < 14) os << std::string(14 - label.size(), ' ');
+    os << row << "\n";
   };
 
   for (int d = 0; d < resources.device_count(); ++d) {
@@ -140,7 +155,7 @@ std::string ascii_timeline(const compile::DistGraph& graph, const SimResult& res
   }
   render_row(resources.nccl_resource(), "NCCL");
   if (options.include_links) {
-    for (int r = 0; r < resources.resource_count(); ++r) {
+    for (const int r : used) {
       if (resources.is_link_resource(r) || resources.is_nic_resource(r)) {
         render_row(r, resource_name(resources, r));
       }

@@ -1,11 +1,14 @@
 // Golden wall for the Graph Compiler's output and its evaluation.
 //
 // Every heuristic warm-start candidate (rl::Trainer::heuristic_candidates)
-// of three (model, cluster) cases is compiled, single-iteration and 2-step
-// unrolled, under the grouping heterog::profile_and_encode builds, and
-// digested: every node's fields in id order (names included), its
-// successors and predecessors in stored order, and the static parameter
-// bytes. A second digest covers evaluate_plan's cold and per-iteration time
+// of five cases is compiled, single-iteration and 2-step unrolled, under the
+// grouping heterog::profile_and_encode builds, and digested. Three cases are
+// (model, cluster) pairs under the default compiler options; two more run
+// MobileNet-v2 on the 8-GPU testbed with Horovod-style gradient fusion on
+// and with every PS group forced onto the slowest GPU (Fig. 2(a)), the two
+// compiler paths the defaults never reach. The first digest covers every
+// node's fields in id order (names included), its successors and
+// predecessors in stored order, and the static parameter bytes. A second digest covers evaluate_plan's cold and per-iteration time
 // bits, chosen order and peak-memory vector; a third covers encode_graph's
 // feature matrix. A change to the compiler's data layout, the simulator or
 // the encoder must leave all three unchanged; a change meant to move plans
@@ -75,8 +78,8 @@ struct Digests {
   size_t candidates = 0;
 };
 
-Digests digest_case(models::ModelKind kind, double batch,
-                    const cluster::ClusterSpec& cluster) {
+Digests digest_case(models::ModelKind kind, double batch, const cluster::ClusterSpec& cluster,
+                    const compile::CompilerOptions& options = {}) {
   const graph::GraphDef training = models::build_training(kind, 0, batch);
   const PlannerInput input = profile_and_encode(training, cluster, HeteroGConfig{});
   const strategy::Grouping& grouping = input.encoded.grouping;
@@ -85,7 +88,9 @@ Digests digest_case(models::ModelKind kind, double batch,
 
   const graph::GraphDef unrolled_graph = graph::unroll_iterations(training, 2);
   const strategy::Grouping unrolled_grouping = strategy::Grouping::unroll(grouping, 2);
-  const compile::GraphCompiler compiler(*input.costs);
+  const compile::GraphCompiler compiler(*input.costs, options);
+  sim::PlanEvalOptions eval_options;
+  eval_options.compiler = options;
   Hash64 graphs;
   Hash64 evaluations;
   for (const auto& candidate : candidates) {
@@ -93,7 +98,8 @@ Digests digest_case(models::ModelKind kind, double batch,
     mix_graph(graphs,
               compiler.compile(unrolled_graph, unrolled_grouping, candidate).graph);
     mix_evaluation(evaluations,
-                   sim::evaluate_plan(*input.costs, training, grouping, candidate));
+                   sim::evaluate_plan(*input.costs, training, grouping, candidate,
+                                      eval_options));
   }
 
   Hash64 features;
@@ -138,6 +144,29 @@ TEST(CompileGolden, Vgg19OnPod64) {
                 digest_case(models::ModelKind::kVgg19, 128.0,
                             cluster::generate_cluster(*cluster::topo_preset("pod64"))),
                 {0xd750ccd700947812ULL, 0x52b6e9044004aba3ULL, 0x05215910ea859bc8ULL, 15});
+}
+
+TEST(CompileGolden, MobileNetV2On8GpuFused) {
+  compile::CompilerOptions options;
+  options.allreduce_fusion_bytes = 64LL << 20;  // the Horovod baseline's setting
+  expect_golden("mobilenet_v2 b64 8gpu fused",
+                digest_case(models::ModelKind::kMobileNetV2, 64.0,
+                            cluster::make_paper_testbed_8gpu(), options),
+                {0x6d8b40c9afa904a6ULL, 0x20ff6f84548e06e5ULL, 0xa0742caa3fca8b88ULL, 15});
+}
+
+TEST(CompileGolden, MobileNetV2On8GpuForcedPs) {
+  const cluster::ClusterSpec cluster = cluster::make_paper_testbed_8gpu();
+  compile::CompilerOptions options;
+  for (const auto& d : cluster.devices()) {
+    if (options.forced_ps_device < 0 ||
+        d.gflops_per_ms < cluster.device(options.forced_ps_device).gflops_per_ms) {
+      options.forced_ps_device = d.id;  // the slowest GPU, lowest id on ties
+    }
+  }
+  expect_golden("mobilenet_v2 b64 8gpu forced ps",
+                digest_case(models::ModelKind::kMobileNetV2, 64.0, cluster, options),
+                {0x2af0fba13717ab90ULL, 0x196a28bbd50a3472ULL, 0xa0742caa3fca8b88ULL, 15});
 }
 
 }  // namespace

@@ -59,12 +59,18 @@ TEST_F(CompileTest, MpPlacesEverythingOnOneDevice) {
 TEST_F(CompileTest, EvenDpReplicatesOncePerDevice) {
   const auto result =
       rig_.compile_uniform(train_, Action::dp(ReplicationMode::kEven, CommMethod::kAllReduce));
-  // Every batch-divisible op has 8 replicas.
+  // Every batch-divisible op has 8 replicas: 8 compute nodes of that origin.
+  std::vector<int> replicas(static_cast<size_t>(train_.op_count()), 0);
+  for (const auto& node : nodes(result.graph)) {
+    if (node.kind == NodeKind::kCompute && node.origin != graph::kInvalidOp) {
+      ++replicas[static_cast<size_t>(node.origin)];
+    }
+  }
   for (graph::OpId id = 0; id < train_.op_count(); ++id) {
     const auto& op = train_.op(id);
     if (op.role == graph::OpRole::kApply) continue;
     if (op.batch_divisible) {
-      EXPECT_EQ(result.nodes_of_op[static_cast<size_t>(id)].size(), 8u) << op.name;
+      EXPECT_EQ(replicas[static_cast<size_t>(id)], 8) << op.name;
     }
   }
 }

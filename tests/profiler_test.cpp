@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "cluster/cluster.h"
+#include "cluster/topology.h"
+#include "common/hash.h"
 #include "graph/graph.h"
+#include "models/models.h"
 #include "profiler/hardware_model.h"
 #include "profiler/profiler.h"
 
@@ -155,6 +160,55 @@ TEST_F(ProfilerFitTest, AverageOpTimeBetweenExtremes) {
   const double slow = m->op_time_ms(g.op(0), 32.0, 2);
   EXPECT_GE(avg, fast);
   EXPECT_LE(avg, slow);
+}
+
+void mix_fit(Hash64& h, const LinearFit& fit) {
+  h.mix_double(fit.slope);
+  h.mix_double(fit.intercept);
+  h.mix_double(fit.r_squared);
+}
+
+/// Digest of a seeded profile: every op fit and link fit, and the time of a
+/// synthesised (unprofiled) op of every kind on every device at several
+/// sizes, priced the way the Graph Compiler prices Split, Concat and Add.
+uint64_t profile_digest(models::ModelKind kind, double batch, const ClusterSpec& cluster) {
+  const graph::GraphDef training = models::build_training(kind, 0, batch);
+  const HardwareModel hardware(cluster);
+  Profiler profiler(hardware, 42);
+  const auto model = profiler.profile(training);
+  Hash64 h;
+  for (graph::OpId id = 0; id < training.op_count(); ++id) {
+    for (const auto& d : cluster.devices()) mix_fit(h, model->op_fit(id, d.id));
+  }
+  for (const auto& a : cluster.devices()) {
+    for (const auto& b : cluster.devices()) {
+      if (a.id != b.id) mix_fit(h, model->link_fit(a.id, b.id));
+    }
+  }
+  for (int k = 0; k <= static_cast<int>(OpKind::kIdentity); ++k) {
+    for (const int64_t bytes : {int64_t{0}, int64_t{4096}, int64_t{1} << 20, int64_t{64} << 20}) {
+      OpDef op;
+      op.kind = static_cast<OpKind>(k);
+      op.flops_fixed = static_cast<double>(bytes) / 4.0;
+      op.out_bytes_fixed = bytes;
+      op.batch_divisible = false;
+      for (const auto& d : cluster.devices()) h.mix_double(model->op_time_ms(op, 0.0, d.id));
+    }
+  }
+  return h.digest();
+}
+
+// Golden pin of the profiler's fits, recorded before its sampling loops were
+// restructured: the noise draws and every sum must keep their order.
+TEST(ProfilerGolden, SeededFitsAreBitIdentical) {
+  const uint64_t mobilenet = profile_digest(models::ModelKind::kMobileNetV2, 64.0,
+                                            cluster::make_paper_testbed_8gpu());
+  const uint64_t vgg = profile_digest(models::ModelKind::kVgg19, 128.0,
+                                      cluster::generate_cluster(*cluster::topo_preset("pod64")));
+  std::printf("profile digests: mobilenet_v2 8gpu 0x%016llxULL vgg19 pod64 0x%016llxULL\n",
+              static_cast<unsigned long long>(mobilenet), static_cast<unsigned long long>(vgg));
+  EXPECT_EQ(mobilenet, 0x5a6d27815170e1e1ULL);
+  EXPECT_EQ(vgg, 0xbcdc6ce65be2fd0eULL);
 }
 
 }  // namespace

@@ -36,8 +36,22 @@ TEST_F(TraceTest, ChromeTraceContainsEveryNode) {
     ++events;
   }
   EXPECT_EQ(events, compiled.graph.node_count());
-  // Metadata rows for resources exist and the JSON is balanced.
-  EXPECT_NE(json.find("NCCL channel"), std::string::npos);
+  // One metadata row per resource the graph occupies, ascending, and the
+  // JSON is balanced. The PS plan crosses hosts, so NIC rows are among them.
+  const auto& used = compiled.graph.used_resources();
+  int rows = 0;
+  for (size_t pos = 0; (pos = json.find("\"thread_name\"", pos)) != std::string::npos;
+       ++pos) {
+    ++rows;
+  }
+  EXPECT_EQ(rows, static_cast<int>(used.size()));
+  size_t last = 0;
+  for (const int r : used) {
+    const size_t pos = json.find("\"tid\":" + std::to_string(r) + ",\"args\"");
+    ASSERT_NE(pos, std::string::npos) << "no row for resource " << r;
+    EXPECT_GE(pos, last);
+    last = pos;
+  }
   EXPECT_NE(json.find("NIC"), std::string::npos);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
